@@ -1,7 +1,8 @@
 """Nondeterministic finite automata with unobservable moves, and the basic
 operations the rest of the library is built on: synchronous composition,
-quotients by a state partition, subautomaton tests, natural projection,
-bounded language enumeration and isomorphism of deterministic automata.
+restriction to a state subset, quotients by a state partition, natural
+projection, observable language up to a length bound and isomorphism of
+deterministic automata.
 
 States carry three independent flags (initial, marked, secret).  Events carry
 observability and controllability flags.  The label ``tau`` is reserved for
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 TAU = "tau"
 EPSILON = "ε"
@@ -315,25 +316,6 @@ def quotient(a: Automaton, partition: Partition, name: str | None = None) -> Aut
     )
 
 
-def is_subautomaton(a: Automaton, b: Automaton) -> bool:
-    """True iff ``a`` is contained in ``b``: same alphabet, and a's states,
-    transitions, initial and marked sets are subsets of b's."""
-    if set(a.events) != set(b.events):
-        raise InvalidAutomaton("subautomaton comparison requires identical alphabets")
-    b_states = {st.name for st in b.states}
-    if not {st.name for st in a.states} <= b_states:
-        return False
-    for st in a.states:
-        other = b.state_map[st.name]
-        if st.initial and not other.initial:
-            return False
-        if st.marked and not other.marked:
-            return False
-        if st.secret != other.secret:
-            return False
-    return set(a.transitions) <= set(b.transitions)
-
-
 def project(string: Sequence[str], keep: Iterable[str]) -> tuple[str, ...]:
     """Natural projection of an event string onto the event subset ``keep``."""
     keep = {ev.name if isinstance(ev, Event) else ev for ev in keep}
@@ -422,16 +404,3 @@ def deterministic_isomorphic(a: Automaton, b: Automaton) -> bool:
 
     return form(a) == form(b)
 
-
-def iter_strings(alphabet: Sequence[str], depth: int) -> Iterator[tuple[str, ...]]:
-    """All strings over ``alphabet`` of length at most ``depth``, shortest first."""
-    level: list[tuple[str, ...]] = [()]
-    yield ()
-    for _ in range(depth):
-        nxt = []
-        for string in level:
-            for symbol in alphabet:
-                extended = string + (symbol,)
-                nxt.append(extended)
-                yield extended
-        level = nxt

@@ -25,6 +25,7 @@ from .automata import (
     Transition,
     canonical_table,
     compose_all,
+    deterministic_isomorphic,
     language_upto,
     sync_compose,
 )
@@ -131,17 +132,11 @@ def random_pair(spec: RandomSpec) -> tuple[Automaton, Automaton]:
     return a, b
 
 
-def _observer_isomorphic(left: Automaton, right: Automaton) -> bool:
-    from .automata import deterministic_isomorphic
-
-    return deterministic_isomorphic(left, right)
-
-
 def check_observer_sync(a: Automaton, b: Automaton) -> bool:
     """Observer of a composition equals the composition of observers."""
     left = determinize(sync_compose(a, b)).automaton
     right = sync_compose(determinize(a).automaton, determinize(b).automaton)
-    return _observer_isomorphic(left, right)
+    return deterministic_isomorphic(left, right)
 
 
 def check_desired_observer_sync(a: Automaton, b: Automaton) -> bool:
@@ -156,7 +151,7 @@ def check_desired_observer_sync(a: Automaton, b: Automaton) -> bool:
         return True
     if bool(left.states) != bool(right.states):
         return False
-    return _observer_isomorphic(left, right)
+    return deterministic_isomorphic(left, right)
 
 
 def _tpo_edge_table(t: Tpo) -> dict[str, dict[tuple[str, str], str]]:

@@ -59,7 +59,13 @@ class Session:
     def outgoing(self, state: str) -> list[tuple[str, DecoratedEvent, str]]:
         return self._edges.get(state, [])
 
+    def at_y(self) -> bool:
+        """True iff every component is at a Y origin in the current state."""
+        return self.current in self._y_states
+
     _edges: Mapping[str, list[tuple[str, DecoratedEvent, str]]] = field(default_factory=dict)
+    _decorations: Mapping[str, DecoratedEvent] = field(default_factory=dict)
+    _y_states: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -87,20 +93,18 @@ def open_session(
         edges.setdefault(src, []).append((label, decorations[label], dst))
     for state in edges:
         edges[state].sort(key=lambda item: item[0])
-    z_states = sum(
-        1
-        for name in (st.name for st in supervisor.states)
-        if not m.all_y(name)
-    )
-    session = Session(
+    y_states = frozenset(st.name for st in supervisor.states if m.all_y(st.name))
+    z_states = len(supervisor.states) - len(y_states)
+    return Session(
         structure=m,
         policy=policy,
         rng=random.Random(seed),
         insertion_budget=max(2, 2 * z_states),
         current=initial,
+        _edges=edges,
+        _decorations=decorations,
+        _y_states=y_states,
     )
-    session._edges = edges
-    return session
 
 
 def _decoration_table(m: ModularEditStructure) -> dict[str, DecoratedEvent]:
@@ -158,9 +162,8 @@ def _chain_to_decision(
 
 def _policy_decisions(session: Session, emitted: list[str]) -> None:
     """Run decisions per the session policy until the components return to Y."""
-    m = session.structure
     inserted = 0
-    while not m.all_y(session.current):
+    while not session.at_y():
         deliveries = _enabled(session, (DELIVER, DELIVER_ERASED))
         if deliveries:
             _fire(session, deliveries[0], emitted)
@@ -208,7 +211,7 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
     saved_state, saved_depth = session.current, len(session.trace)
     emitted: list[str] = []
     try:
-        if not m.all_y(session.current):
+        if not session.at_y():
             raise StepError(f"session is mid-decision at {session.current}")
         arrivals = [
             item
@@ -224,12 +227,12 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
             raise StepError(f"event {event!r} is not enabled at {session.current}")
         _fire(session, arrivals[0], emitted)
         for forced in overrides or ():
-            while not m.all_y(session.current):
+            while not session.at_y():
                 deliveries = _enabled(session, (DELIVER, DELIVER_ERASED))
                 if not deliveries:
                     break
                 _fire(session, deliveries[0], emitted)
-            if m.all_y(session.current):
+            if session.at_y():
                 raise StepError(f"decision {forced!r} comes after the step completed")
             enabled = {
                 item[0]: item
@@ -249,11 +252,10 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
     session.consumed.append(event)
     session.emitted.extend(emitted)
     decision_kinds = (INSERT, STOP, ERASE)
-    table = _decoration_table(m)
     decisions = tuple(
         label
         for label in session.trace[saved_depth:]
-        if table[label].kind in decision_kinds
+        if session._decorations[label].kind in decision_kinds
     )
     return StepResult(emitted=tuple(emitted), state=session.current, decisions=decisions)
 

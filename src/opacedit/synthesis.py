@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .abstraction import AbstractionBundle, abstract_component
 from .automata import Automaton, Event, InvalidAutomaton, State, Transition
@@ -43,9 +43,14 @@ def product_plant(
     Events move exactly the participants that declare them; the constraint
     participates in every insert and erase decision.  Tuple states are named
     ``(c1|c2|...|K:xj)`` and the reachable part is kept.
+
+    Each event is owned by the first part that declares it, and a state only
+    probes the events its owners enable from their local states, in sorted
+    name order.  An event its owner cannot take could never fire, so states
+    and transitions come out in the same order as probing every event would
+    give them.
     """
     parts = [comp.automaton for comp in components] + [spec]
-    alphabets = [{ev.name for ev in part.events} for part in parts]
     merged: dict[str, Event] = {}
     for part in parts:
         for ev in part.events:
@@ -64,6 +69,25 @@ def product_plant(
                 tuple_map={},
             )
         initials.append(part.initial_states[0])
+
+    # Per event (by position in ``events``): its name and the parts that
+    # declare it.  Per part: for each local state, the events it owns and has
+    # a move on, as a bit mask over positions (bit k is ``events[k]``).  Masks
+    # keep this index small on large encodings; it is dropped on return.
+    names = [ev.name for ev in events]
+    position = {label: k for k, label in enumerate(names)}
+    participants: list[list[int]] = [[] for _ in events]
+    for i, part in enumerate(parts):
+        for ev in part.events:
+            participants[position[ev.name]].append(i)
+    enabled: list[dict[str, int]] = [{} for _ in parts]
+    for i, part in enumerate(parts):
+        owned = {names[k]: 1 << k for k in range(len(events)) if participants[k][0] == i}
+        masks = enabled[i]
+        for src, label, _ in part.transitions:
+            if label in owned:
+                masks[src] = masks.get(src, 0) | owned[label]
+
     start = tuple(initials)
     tuple_map: dict[str, tuple[str, ...]] = {}
     index: dict[tuple[str, ...], str] = {}
@@ -80,34 +104,30 @@ def product_plant(
 
     admit(start)
     queue = deque([start])
-    seen = {start}
     while queue:
         here = queue.popleft()
         src = index[here]
-        for ev in events:
-            targets = []
-            stuck = False
-            for i, part in enumerate(parts):
-                if ev.name in alphabets[i]:
-                    nxt = part.successors(here[i], ev.name)
-                    if not nxt:
-                        stuck = True
-                        break
-                    targets.append(nxt[0] if len(nxt) == 1 else None)
-                    if targets[-1] is None:
-                        raise InvalidAutomaton(
-                            f"component {i} is nondeterministic on {ev.name!r}"
-                        )
-                else:
-                    targets.append(here[i])
-            if stuck:
-                continue
-            nxt_tuple = tuple(targets)
-            dst = admit(nxt_tuple)
-            if nxt_tuple not in seen:
-                seen.add(nxt_tuple)
-                queue.append(nxt_tuple)
-            transitions.append((src, ev.name, dst))
+        candidates = 0
+        for i, local in enumerate(here):
+            candidates |= enabled[i].get(local, 0)
+        while candidates:
+            lowest = candidates & -candidates
+            candidates ^= lowest
+            k = lowest.bit_length() - 1
+            label = names[k]
+            targets = list(here)
+            for i in participants[k]:
+                nxt = parts[i].successors(here[i], label)
+                if not nxt:
+                    break
+                if len(nxt) > 1:
+                    raise InvalidAutomaton(f"component {i} is nondeterministic on {label!r}")
+                targets[i] = nxt[0]
+            else:
+                nxt_tuple = tuple(targets)
+                if nxt_tuple not in index:
+                    queue.append(nxt_tuple)
+                transitions.append((src, label, admit(nxt_tuple)))
 
     states = []
     for parts_tuple in order:
@@ -133,62 +153,60 @@ def supremal_controllable_nonblocking(
     state) before controllability pruning (drop states with an uncontrollable
     transition into dropped territory) until stable, re-trimming reachability
     each round.  The empty automaton is a legal result.
+
+    Successor and predecessor lists are built once per call, so each pass is
+    linear in the plant.  Controllability pruning walks uncontrollable
+    predecessors one layer at a time from the states just dropped; each layer
+    is logged as one ``removed N uncontrollable`` line.
     """
     uncontrollable = {ev.name for ev in plant.events if not ev.controllable}
-    alive = set(st.name for st in plant.states if st.name in plant.reachable_states())
-    marked = plant.marked_states
+    succ: dict[str, list[str]] = {st.name: [] for st in plant.states}
+    pred: dict[str, list[str]] = {st.name: [] for st in plant.states}
+    uncontrollable_pred: dict[str, list[str]] = {st.name: [] for st in plant.states}
+    for src, label, dst in plant.transitions:
+        succ[src].append(dst)
+        pred[dst].append(src)
+        if label in uncontrollable:
+            uncontrollable_pred[dst].append(src)
+
+    def closure(seeds: Iterable[str], edges: Mapping[str, list[str]], inside: set[str]) -> set[str]:
+        """States of ``inside`` reachable from ``seeds`` along ``edges``
+        without leaving ``inside``."""
+        found = {s for s in seeds if s in inside}
+        queue = deque(found)
+        while queue:
+            for nxt in edges[queue.popleft()]:
+                if nxt in inside and nxt not in found:
+                    found.add(nxt)
+                    queue.append(nxt)
+        return found
+
+    def uncontrollable_into(dropped: Iterable[str], inside: set[str]) -> set[str]:
+        """States of ``inside`` with an uncontrollable move into ``dropped``."""
+        return {src for dst in dropped for src in uncontrollable_pred[dst] if src in inside}
+
+    alive = set(plant.reachable_states())
     iteration = 0
     while True:
         iteration += 1
         changed = False
-        # Coreachability: backward reachability from marked states inside alive.
-        incoming: dict[str, list[str]] = {s: [] for s in alive}
-        for src, _, dst in plant.transitions:
-            if src in alive and dst in alive:
-                incoming[dst].append(src)
-        coreach = set(m for m in marked if m in alive)
-        queue = deque(coreach)
-        while queue:
-            here = queue.popleft()
-            for prev in incoming[here]:
-                if prev not in coreach:
-                    coreach.add(prev)
-                    queue.append(prev)
+        coreach = closure(plant.marked_states, pred, alive)
         blocking = alive - coreach
         if blocking:
             changed = True
             if log:
                 log(f"pass {iteration}: removed {len(blocking)} blocking")
             alive = coreach
-        # Controllability: a kept state must keep all its uncontrollable moves.
-        bad = set()
-        for src, label, dst in plant.transitions:
-            if src in alive and label in uncontrollable and dst not in alive:
-                bad.add(src)
-        while True:
-            if not bad:
-                break
+        # Every kept state kept its uncontrollable moves when the last pass
+        # ended, so only predecessors of dropped states can have lost one.
+        layer = uncontrollable_into(blocking, alive)
+        while layer:
             changed = True
             if log:
-                log(f"pass {iteration}: removed {len(bad)} uncontrollable")
-            alive -= bad
-            bad = set()
-            for src, label, dst in plant.transitions:
-                if src in alive and label in uncontrollable and dst not in alive:
-                    bad.add(src)
-        # Reachability trim.
-        adjacency: dict[str, list[str]] = {s: [] for s in alive}
-        for src, _, dst in plant.transitions:
-            if src in alive and dst in alive:
-                adjacency[src].append(dst)
-        reach = set(s for s in plant.initial_states if s in alive)
-        queue = deque(reach)
-        while queue:
-            here = queue.popleft()
-            for nxt in adjacency[here]:
-                if nxt not in reach:
-                    reach.add(nxt)
-                    queue.append(nxt)
+                log(f"pass {iteration}: removed {len(layer)} uncontrollable")
+            alive -= layer
+            layer = uncontrollable_into(layer, alive)
+        reach = closure(plant.initial_states, succ, alive)
         if reach != alive:
             changed = True
             if log:

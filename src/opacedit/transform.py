@@ -134,15 +134,6 @@ class TransformedAutomaton:
     origins: Mapping[str, str]
     decorations: Mapping[str, DecoratedEvent]
 
-    def decision_events(self) -> tuple[str, ...]:
-        return tuple(
-            sorted(
-                name
-                for name, dec in self.decorations.items()
-                if dec.kind in (INSERT, STOP, ERASE)
-            )
-        )
-
 
 _TPO_KIND = {YZ: SYSTEM, ZZ: INSERT, ZW1: STOP, ZW2: ERASE, WY1: DELIVER, WY2: DELIVER_ERASED}
 

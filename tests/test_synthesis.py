@@ -1,12 +1,21 @@
 """Plant composition and the supremal controllable nonblocking supervisor."""
 
+import random
+from collections import deque
+
+import pytest
+
 from opacedit import (
     Automaton,
     Event,
+    InvalidAutomaton,
     State,
+    demo_pair,
     supremal_controllable_nonblocking,
     synthesize_modular_edit_structure,
 )
+from opacedit.oracle import RandomSpec, random_pair, random_system
+from opacedit.synthesis import ProductPlant, product_plant
 
 
 def test_structure_is_nonempty(structure):
@@ -118,3 +127,262 @@ def test_plant_blocks_foreign_context_shared_decisions(structure):
     assert "ins:alpha@beta" not in labelled
     plant_events = {ev.name for ev in structure.plant.events}
     assert "ins:alpha@beta" in plant_events
+
+
+# --- differential tests of the synthesis back end ---------------------------
+#
+# ``_reference_product`` and ``_reference_supervisor`` keep the textbook
+# versions of ``product_plant`` (probe every event of the merged alphabet in
+# every state) and ``supremal_controllable_nonblocking`` (rescan every
+# transition in every round).  The library's versions must produce the same
+# automata, state for state and transition for transition in the same order,
+# and the same ``log=`` lines.
+
+def _tuple_name(parts):
+    return "(" + "|".join(parts[:-1]) + "|K:" + parts[-1] + ")"
+
+
+def _reference_product(components, spec, name="plant"):
+    parts = [comp.automaton for comp in components] + [spec]
+    alphabets = [{ev.name for ev in part.events} for part in parts]
+    merged = {}
+    for part in parts:
+        for ev in part.events:
+            known = merged.setdefault(ev.name, ev)
+            if known != ev:
+                raise InvalidAutomaton(f"event {ev.name!r} has conflicting flags")
+    events = tuple(sorted(merged.values(), key=lambda ev: ev.name))
+    if any(not part.initial_states for part in parts):
+        return ProductPlant(Automaton(name=name, events=events, states=(), transitions=()), {})
+    start = tuple(part.initial_states[0] for part in parts)
+    index, order, transitions = {start: _tuple_name(start)}, [start], []
+    queue = deque([start])
+    while queue:
+        here = queue.popleft()
+        for ev in events:
+            targets = []
+            for i, part in enumerate(parts):
+                if ev.name not in alphabets[i]:
+                    targets.append(here[i])
+                    continue
+                nxt = part.successors(here[i], ev.name)
+                if not nxt:
+                    break
+                if len(nxt) > 1:
+                    raise InvalidAutomaton(f"component {i} is nondeterministic on {ev.name!r}")
+                targets.append(nxt[0])
+            else:
+                dst = tuple(targets)
+                if dst not in index:
+                    index[dst] = _tuple_name(dst)
+                    order.append(dst)
+                    queue.append(dst)
+                transitions.append((index[here], ev.name, index[dst]))
+    states = tuple(
+        State(
+            name=index[t],
+            initial=(t == start),
+            marked=all(part.state_map[t[i]].marked for i, part in enumerate(parts)),
+        )
+        for t in order
+    )
+    automaton = Automaton(name=name, events=events, states=states, transitions=tuple(transitions))
+    return ProductPlant(automaton, {index[t]: t for t in order})
+
+
+def _reference_supervisor(plant, log=None, name=None):
+    uncontrollable = {ev.name for ev in plant.events if not ev.controllable}
+    alive = set(plant.reachable_states())
+    iteration = 0
+    while True:
+        iteration += 1
+        changed = False
+        incoming = {s: [] for s in alive}
+        for src, _, dst in plant.transitions:
+            if src in alive and dst in alive:
+                incoming[dst].append(src)
+        coreach = set(m for m in plant.marked_states if m in alive)
+        queue = deque(coreach)
+        while queue:
+            for prev in incoming[queue.popleft()]:
+                if prev not in coreach:
+                    coreach.add(prev)
+                    queue.append(prev)
+        if alive - coreach:
+            changed = True
+            if log:
+                log(f"pass {iteration}: removed {len(alive - coreach)} blocking")
+            alive = coreach
+        while True:
+            bad = {
+                src
+                for src, label, dst in plant.transitions
+                if src in alive and label in uncontrollable and dst not in alive
+            }
+            if not bad:
+                break
+            changed = True
+            if log:
+                log(f"pass {iteration}: removed {len(bad)} uncontrollable")
+            alive -= bad
+        adjacency = {s: [] for s in alive}
+        for src, _, dst in plant.transitions:
+            if src in alive and dst in alive:
+                adjacency[src].append(dst)
+        reach = set(s for s in plant.initial_states if s in alive)
+        queue = deque(reach)
+        while queue:
+            for nxt in adjacency[queue.popleft()]:
+                if nxt not in reach:
+                    reach.add(nxt)
+                    queue.append(nxt)
+        if reach != alive:
+            changed = True
+            if log:
+                log(f"pass {iteration}: removed {len(alive - reach)} unreachable")
+            alive = reach
+        if not changed:
+            break
+    return Automaton(
+        name=name or f"sup({plant.name})",
+        events=plant.events,
+        states=tuple(st for st in plant.states if st.name in alive),
+        transitions=tuple(t for t in plant.transitions if t[0] in alive and t[2] in alive),
+    )
+
+
+def _assert_same_supervisor(plant):
+    got_log, want_log = [], []
+    got = supremal_controllable_nonblocking(plant, log=got_log.append, name="sup")
+    want = _reference_supervisor(plant, log=want_log.append, name="sup")
+    assert got == want
+    assert got_log == want_log
+    return got_log
+
+
+def _assert_same_back_end(systems, max_erasures=1):
+    m = synthesize_modular_edit_structure(systems, max_erasures=max_erasures)
+    got = product_plant(m.components, m.constraint)
+    want = _reference_product(m.components, m.constraint)
+    assert got.automaton.states == want.automaton.states
+    assert got.automaton.transitions == want.automaton.transitions
+    assert got.automaton == want.automaton
+    assert list(got.tuple_map.items()) == list(want.tuple_map.items())
+    _assert_same_supervisor(got.automaton)
+
+
+def _ring(seed, size=3):
+    """``size`` random components in a ring: letters ``a``, ``b``, ``c`` of
+    component ``i`` become a private event, the event shared with its left
+    neighbour and the event shared with its right neighbour."""
+    rng = random.Random(seed)
+    links = [f"l{(i - 1) % size}{i}" for i in range(size)]
+    systems = []
+    for i in range(size):
+        g = random_system(RandomSpec(seed=rng.randrange(2**32), max_states=5), name=f"c{i}")
+        names = {"a": f"p{i}", "b": links[i], "c": links[(i + 1) % size]}
+        systems.append(
+            Automaton(
+                name=g.name,
+                events=tuple(Event(names[ev.name]) for ev in g.events),
+                states=g.states,
+                transitions=tuple((s, names.get(l, l), d) for s, l, d in g.transitions),
+            )
+        )
+    return systems
+
+
+def test_back_end_matches_reference_on_demo_pair():
+    for k in (0, 1, 2):
+        _assert_same_back_end(list(demo_pair()), max_erasures=k)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_back_end_matches_reference_on_random_pairs(seed):
+    _assert_same_back_end(list(random_pair(RandomSpec(seed=seed))))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_back_end_matches_reference_on_rings_of_three(seed):
+    _assert_same_back_end(_ring(seed))
+
+
+def test_back_end_matches_reference_on_a_large_ring():
+    # index 23 of this stream has a product of about 2,700 states
+    systems = _ring(23)
+    m = synthesize_modular_edit_structure(systems, max_erasures=1)
+    assert len(m.plant.states) > 2000 and not m.is_empty()
+    _assert_same_back_end(systems)
+
+
+def test_supervisor_walks_deep_uncontrollable_chains_layer_by_layer():
+    # a blocking sink d is entered by an uncontrollable chain a3 -> a2 -> a1
+    # -> d and a side branch b2 -> a1; the controllable entries into the
+    # chain from p0 must all be cut, one layer at a time
+    plant = Automaton(
+        name="plant",
+        events=(Event("c"), Event("u", controllable=False), Event("v", controllable=False)),
+        states=(
+            State("p0", initial=True, marked=True),
+            State("p1", marked=True),
+            State("a3"),
+            State("a2"),
+            State("b2"),
+            State("a1"),
+            State("d"),
+        ),
+        transitions=(
+            ("p0", "c", "a3"),
+            ("p0", "c", "b2"),
+            ("p0", "c", "p1"),
+            ("p1", "c", "p0"),
+            ("a3", "u", "a2"),
+            ("a3", "c", "p0"),
+            ("a2", "v", "a1"),
+            ("a2", "c", "p1"),
+            ("b2", "u", "a1"),
+            ("b2", "c", "p0"),
+            ("a1", "u", "d"),
+            ("a1", "c", "p0"),
+        ),
+    )
+    lines = _assert_same_supervisor(plant)
+    assert lines == [
+        "pass 1: removed 1 blocking",
+        "pass 1: removed 1 uncontrollable",
+        "pass 1: removed 2 uncontrollable",
+        "pass 1: removed 1 uncontrollable",
+    ]
+    sup = supremal_controllable_nonblocking(plant)
+    assert {st.name for st in sup.states} == {"p0", "p1"}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_supervisor_matches_reference_on_random_plants(seed):
+    # random plants with tau moves, several marked states and a mix of
+    # controllable and uncontrollable events take several passes
+    rng = random.Random(seed)
+    names = [f"s{i}" for i in range(rng.randint(2, 30))]
+    events = tuple(Event(f"e{j}", controllable=rng.random() < 0.5) for j in range(4))
+    transitions = tuple(
+        (src, rng.choice([ev.name for ev in events] + ["tau"]), rng.choice(names))
+        for src in names
+        for _ in range(rng.randint(0, 3))
+    )
+    states = tuple(
+        State(nm, initial=(i == 0), marked=rng.random() < 0.2) for i, nm in enumerate(names)
+    )
+    _assert_same_supervisor(Automaton("plant", events, states, transitions))
+
+
+def test_supervisor_computes_reachability_once(structure, monkeypatch):
+    calls = []
+    original = Automaton.reachable_states
+
+    def counted(self):
+        calls.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(Automaton, "reachable_states", counted)
+    supremal_controllable_nonblocking(structure.plant)
+    assert len(calls) <= 1
