@@ -22,9 +22,7 @@ from .documents import (
     parse_document,
     serialize_automaton,
     serialize_document,
-    structure_to_dict,
     tpo_to_dict,
-    transformed_to_dict,
 )
 from .dot import export_dot
 from .estimation import check_current_state_opacity, desired_observer, determinize
@@ -32,11 +30,12 @@ from .oracle import SUITE_NAMES, run_suite
 from .runtime import POLICIES, StepError, open_session, step
 from .synthesis import (
     ModularEditStructure,
+    encode_components,
     product_plant,
     synthesize_modular_edit_structure,
 )
 from .tpo import build_largest_tpo
-from .transform import augment_missing_insertions, transform_modular, transform_monolithic
+from .transform import augment_missing_insertions, transform_monolithic
 
 EXIT_VIOLATED = 1
 EXIT_UNENFORCEABLE = 3
@@ -75,7 +74,22 @@ def _write(text: str, output: str | None) -> None:
         click.echo(f"wrote {output}", err=True)
 
 
-@click.group()
+class _InputError(click.ClickException):
+    exit_code = 2
+
+
+class _Main(click.Group):
+    """Reports an automaton that fails validation, whichever command built
+    it, as a one-line input error rather than a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except InvalidAutomaton as err:
+            raise _InputError(str(err)) from err
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Synthesize and run opacity-enforcing edit functions for modular
     discrete-event systems."""
@@ -164,16 +178,7 @@ def transform(
         encoded = transform_monolithic(t, name=f"{g.name}^T")
         _write(serialize_document(encoded), output_prefix)
         return
-    bundles = [abstract_component(g) for g in systems]
-    tpos = [
-        build_largest_tpo(b.h_obd, b.h_b, name=f"tpo({systems[i].name})")
-        for i, b in enumerate(bundles)
-    ]
-    components = transform_modular(
-        tpos,
-        [b.abstracted.events for b in bundles],
-        names=[f"{g.name}^T" for g in systems],
-    )
+    bundles, tpos, components = encode_components(systems)
     prefix = output_prefix or "transformed"
     for i, comp in enumerate(components):
         path = f"{prefix}.{i}.json"
@@ -183,7 +188,7 @@ def transform(
         spec = build_constraint_automaton(0, components, name="K0")
         plant = product_plant(components, spec, name="product")
         augmented = augment_missing_insertions(
-            plant.automaton, plant.tuple_map, components, bundles, name="product+ins"
+            plant.automaton, plant.tuple_map, tpos, bundles, name="product+ins"
         )
         path = f"{prefix}.product.json"
         Path(path).write_text(serialize_automaton(augmented), encoding="utf-8")
@@ -203,16 +208,7 @@ def transform(
 def spec_k(max_erasures: int, plants: tuple[str, ...], output: str | None) -> None:
     """Build the edit-constraint specification for the given components."""
     systems = _compose(plants)
-    bundles = [abstract_component(g) for g in systems]
-    tpos = [
-        build_largest_tpo(b.h_obd, b.h_b, name=f"tpo({systems[i].name})")
-        for i, b in enumerate(bundles)
-    ]
-    components = transform_modular(
-        tpos,
-        [b.abstracted.events for b in bundles],
-        names=[f"{g.name}^T" for g in systems],
-    )
+    _, _, components = encode_components(systems)
     try:
         spec = build_constraint_automaton(max_erasures, components)
     except ValueError as err:

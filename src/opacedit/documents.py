@@ -16,7 +16,7 @@ document kinds carry a "kind" field and embed automaton documents.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .automata import Automaton, Event, InvalidAutomaton, State
 from .synthesis import ModularEditStructure
@@ -249,6 +249,8 @@ def transformed_from_dict(doc: Any, path: str = "$") -> TransformedAutomaton:
     for st in automaton.states:
         if st.name not in origins:
             _fail(f"{path}.origins", f"missing origin for state {st.name!r}")
+    if len(origins) != len(automaton.states):
+        _fail(f"{path}.origins", "origin given for a name that is not a state")
     decorations = {ev.name: parse_decorated(ev.name) for ev in automaton.events}
     return TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations)
 
@@ -278,11 +280,26 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
     constraint = automaton_from_dict(doc.get("constraint"), f"{path}.constraint")
     plant = automaton_from_dict(doc.get("plant"), f"{path}.plant")
     tuple_map_doc = _expect_object(doc.get("tuple_map", {}), f"{path}.tuple_map")
+    # Each component's origins hold exactly its state names, so they serve as
+    # its state set.  Entry paths are only formatted for an error, which keeps
+    # the check cheaper than formatting one per part.
+    state_sets = [comp.origins for comp in components] + [{st.name for st in constraint.states}]
     tuple_map = {}
-    for key, value in tuple_map_doc.items():
-        parts = _expect_list(value, f"{path}.tuple_map.{key}")
-        tuple_map[key] = tuple(_expect_string(p, f"{path}.tuple_map.{key}") for p in parts)
+    for key, parts in tuple_map_doc.items():
+        if not (
+            isinstance(parts, list)
+            and len(parts) == len(state_sets)
+            and all(isinstance(part, str) and part in states for part, states in zip(parts, state_sets))
+        ):
+            _fail(
+                f"{path}.tuple_map.{key}",
+                "expected one state of each component and of the constraint",
+            )
+        tuple_map[key] = tuple(parts)
     supervisor = automaton_from_dict(doc.get("supervisor"), f"{path}.supervisor")
+    missing = [st.name for st in plant.states + supervisor.states if st.name not in tuple_map]
+    if missing:
+        _fail(f"{path}.tuple_map", f"missing entry for state {missing[0]!r}")
     diagnostics = tuple(
         _expect_string(entry, f"{path}.diagnostics[{i}]")
         for i, entry in enumerate(_expect_list(doc.get("diagnostics", []), f"{path}.diagnostics"))

@@ -33,6 +33,7 @@ from .constraint import build_constraint_automaton
 from .estimation import desired_observer, determinize
 from .synthesis import (
     ModularEditStructure,
+    encode_components,
     product_plant,
     supremal_controllable_nonblocking,
     synthesize_modular_edit_structure,
@@ -48,7 +49,6 @@ from .transform import (
     DecoratedEvent,
     parse_decorated,
     run_label,
-    transform_modular,
     transform_monolithic,
 )
 
@@ -250,16 +250,9 @@ def check_modular_inclusion(
     Vacuously true when some component has an empty desired observer, since
     then no edit function exists at all.
     """
-    bundles = [abstract_component(g) for g in systems]
+    bundles, _, components = encode_components(systems)
     if any(bundle.h_obd.is_empty() for bundle in bundles):
         return True, ()
-    tpos = [
-        build_largest_tpo(bundle.h_obd, bundle.h_b, name=f"tpo{i}")
-        for i, bundle in enumerate(bundles)
-    ]
-    components = transform_modular(
-        tpos, [bundle.abstracted.events for bundle in bundles]
-    )
     product = compose_all([comp.automaton for comp in components])
     composed = compose_all(systems)
     observer = determinize(composed)

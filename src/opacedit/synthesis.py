@@ -13,11 +13,11 @@ runtime may execute.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .abstraction import AbstractionBundle, abstract_component
-from .automata import Automaton, Event, InvalidAutomaton, State, Transition
+from .automata import Automaton, InvalidAutomaton, State, Transition, _merge_events
 from .constraint import build_constraint_automaton
 from .tpo import Tpo, Y, build_largest_tpo
 from .transform import TransformedAutomaton, transform_modular
@@ -51,15 +51,7 @@ def product_plant(
     give them.
     """
     parts = [comp.automaton for comp in components] + [spec]
-    merged: dict[str, Event] = {}
-    for part in parts:
-        for ev in part.events:
-            known = merged.get(ev.name)
-            if known is None:
-                merged[ev.name] = ev
-            elif known != ev:
-                raise InvalidAutomaton(f"event {ev.name!r} has conflicting flags across components")
-    events = tuple(sorted(merged.values(), key=lambda ev: ev.name))
+    events = _merge_events(parts)
 
     initials = []
     for part in parts:
@@ -252,6 +244,25 @@ class ModularEditStructure:
         )
 
 
+def encode_components(
+    systems: Sequence[Automaton],
+) -> tuple[tuple[AbstractionBundle, ...], tuple[Tpo, ...], tuple[TransformedAutomaton, ...]]:
+    """Abstract each component, build the largest TPO of its observers and
+    encode the TPOs for modular composition; component ``g`` is encoded as
+    ``g.name^T``."""
+    bundles = tuple(abstract_component(g) for g in systems)
+    tpos = tuple(
+        build_largest_tpo(bundle.h_obd, bundle.h_b, name=f"tpo{i}")
+        for i, bundle in enumerate(bundles)
+    )
+    components = transform_modular(
+        tpos,
+        [bundle.abstracted.events for bundle in bundles],
+        names=[f"{g.name}^T" for g in systems],
+    )
+    return bundles, tpos, components
+
+
 def synthesize_modular_edit_structure(
     systems: Sequence[Automaton],
     max_erasures: int,
@@ -264,22 +275,12 @@ def synthesize_modular_edit_structure(
     does not raise; it is reported through ``diagnostics`` so callers can
     distinguish "no edit function exists" from bad input.
     """
-    diagnostics: list[str] = []
-    bundles = tuple(abstract_component(g) for g in systems)
-    for i, bundle in enumerate(bundles):
-        if bundle.h_obd.is_empty():
-            diagnostics.append(
-                f"opacity unenforceable for component {i}: empty desired observer"
-            )
-    tpos = [
-        build_largest_tpo(bundle.h_obd, bundle.h_b, name=f"tpo{i}")
+    bundles, _, components = encode_components(systems)
+    diagnostics = [
+        f"opacity unenforceable for component {i}: empty desired observer"
         for i, bundle in enumerate(bundles)
+        if bundle.h_obd.is_empty()
     ]
-    components = transform_modular(
-        tpos,
-        [bundle.abstracted.events for bundle in bundles],
-        names=[f"{g.name}^T" for g in systems],
-    )
     constraint = build_constraint_automaton(max_erasures, components)
     plant = product_plant(components, constraint)
     supervisor = supremal_controllable_nonblocking(plant.automaton, log=log, name="supervisor")

@@ -22,8 +22,8 @@ the system may simply have nothing left to say.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 from .automata import EPSILON, Automaton, Event, erasure_symbol, language_upto
 from .estimation import Observer
@@ -218,7 +218,6 @@ def iter_runs(t: Tpo, max_events: int, simple_chains: bool = True) -> Iterator[R
     if t.initial is None:
         return
     outgoing = t.outgoing()
-    state_map = t.state_map()
 
     def walk(
         state: str, states: tuple[str, ...], steps: tuple[TpoTransition, ...], events: int, chain: frozenset[str]

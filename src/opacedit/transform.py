@@ -19,7 +19,8 @@ In the modular encoding each component additionally self-loops, at Y states,
 on the plain system events that are local to other components, and enlarges
 its alphabet with the decorated shared events contextualized by foreign-local
 events; those decorated events get no transitions, so in a synchronous product
-nobody can take such a decision.
+nobody can take such a decision.  The monolithic encoding is the modular one
+with a single component, where neither addition applies.
 """
 
 from __future__ import annotations
@@ -154,55 +155,9 @@ def _decorate(tr: TpoTransition, pending: str) -> DecoratedEvent:
 
 
 def transform_monolithic(t: Tpo, name: str | None = None) -> TransformedAutomaton:
-    """Encode one TPO as a plant automaton.
-
-    The alphabet contains, besides the actual transitions' events, every
-    decorated decision that is possible in principle for this TPO: inserts of
-    any alphabet event and stops/erasures at every pending context, plus the
-    deliveries that occur.  Carrying these alphabet-only decisions matters in
-    products: a decision shared with another component must synchronize, so a
-    component that cannot take it blocks it.
-    """
-    state_map = t.state_map()
-    contexts = sorted({st.event for st in t.states if st.kind == Z})
-    alphabet = sorted(ev.name for ev in t.events if ev.observable)
-    events: dict[str, Event] = {}
-    for base in alphabet:
-        events[base] = DecoratedEvent(kind=SYSTEM, base=base).event()
-    for context in contexts:
-        for base in alphabet:
-            dec = DecoratedEvent(kind=INSERT, base=base, context=context)
-            events[dec.name] = dec.event()
-        for dec in (
-            DecoratedEvent(kind=STOP, base=EPSILON, context=context),
-            DecoratedEvent(kind=ERASE, base=context, context=context),
-        ):
-            events[dec.name] = dec.event()
-    transitions: list[Transition] = []
-    decorations: dict[str, DecoratedEvent] = {}
-    for tr in t.transitions:
-        pending = state_map[tr.source].event if state_map[tr.source].kind == Z else None
-        dec = _decorate(tr, pending)
-        if dec.name not in events:
-            events[dec.name] = dec.event()
-        decorations[dec.name] = dec
-        transitions.append((tr.source, dec.name, tr.target))
-    for ev_name in events:
-        decorations.setdefault(ev_name, parse_decorated(ev_name))
-    states = tuple(
-        State(name=st.name, initial=(st.name == t.initial), marked=(st.kind == Y), secret=False)
-        for st in t.states
-    )
-    automaton = Automaton(
-        name=name or f"{t.name}^T",
-        events=tuple(sorted(events.values(), key=lambda ev: ev.name)),
-        states=states,
-        transitions=tuple(transitions),
-    )
-    if not automaton.is_deterministic:
-        raise InvalidAutomaton("transformed TPO is not deterministic")
-    origins = {st.name: st.kind for st in t.states}
-    return TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations)
+    """Encode one TPO as a plant automaton: the one-component case of
+    ``transform_modular``, whose alphabet is the TPO's own."""
+    return transform_modular([t], [t.events], names=[name or f"{t.name}^T"])[0]
 
 
 def transform_modular(
@@ -210,13 +165,22 @@ def transform_modular(
     alphabets: Sequence[Iterable[Event]],
     names: Sequence[str] | None = None,
 ) -> tuple[TransformedAutomaton, ...]:
-    """Encode each component TPO for modular composition.
+    """Encode each component TPO as a plant automaton for modular composition.
 
-    Per component ``i``: plain system events local to other components
-    self-loop at every Y state (so foreign activity cannot block it), and the
-    shared events contextualized by foreign-local events enter the alphabet as
-    insert/deliver/deliver-erased decorations with no transitions (so such
-    decisions are disabled in the product rather than taken unilaterally).
+    The alphabet contains, besides the actual transitions' events, every
+    decorated decision that is possible in principle for the TPO: inserts of
+    any alphabet event and stops/erasures at every pending context, plus the
+    deliveries that occur.  Carrying these alphabet-only decisions matters in
+    products: a decision shared with another component must synchronize, so a
+    component that cannot take it blocks it.
+
+    Per component ``i`` the other components add two things: plain system
+    events local to them self-loop at every Y state (so foreign activity
+    cannot block ``i``), and the shared events contextualized by their local
+    events enter the alphabet as insert/deliver/deliver-erased decorations with
+    no transitions (so such decisions are disabled in the product rather than
+    taken unilaterally).  With a single component neither applies, which is
+    the monolithic encoding.
     """
     sigma: list[dict[str, Event]] = []
     for i, alphabet in enumerate(alphabets):
@@ -227,11 +191,37 @@ def transform_modular(
         sigma.append(table)
     results = []
     for i, t in enumerate(ts):
-        name = names[i] if names else f"{t.name}^T"
-        mono = transform_monolithic(t, name=name)
-        events = {ev.name: ev for ev in mono.automaton.events}
-        decorations = dict(mono.decorations)
-        transitions = list(mono.automaton.transitions)
+        state_map = t.state_map()
+        contexts = sorted({st.event for st in t.states if st.kind == Z})
+        alphabet = sorted(ev.name for ev in t.events if ev.observable)
+        events: dict[str, Event] = {}
+        for base in alphabet:
+            events[base] = DecoratedEvent(kind=SYSTEM, base=base).event()
+        for context in contexts:
+            for base in alphabet:
+                dec = DecoratedEvent(kind=INSERT, base=base, context=context)
+                events[dec.name] = dec.event()
+            for dec in (
+                DecoratedEvent(kind=STOP, base=EPSILON, context=context),
+                DecoratedEvent(kind=ERASE, base=context, context=context),
+            ):
+                events[dec.name] = dec.event()
+        transitions: list[Transition] = []
+        decorations: dict[str, DecoratedEvent] = {}
+        for tr in t.transitions:
+            pending = state_map[tr.source].event if state_map[tr.source].kind == Z else None
+            dec = _decorate(tr, pending)
+            if dec.name not in events:
+                events[dec.name] = dec.event()
+            decorations[dec.name] = dec
+            transitions.append((tr.source, dec.name, tr.target))
+        for ev_name in events:
+            decorations.setdefault(ev_name, parse_decorated(ev_name))
+        states = tuple(
+            State(name=st.name, initial=(st.name == t.initial), marked=(st.kind == Y), secret=False)
+            for st in t.states
+        )
+
         local = set(sigma[i])
         foreign: set[str] = set()
         for j, table in enumerate(sigma):
@@ -241,8 +231,8 @@ def transform_modular(
             dec = DecoratedEvent(kind=SYSTEM, base=alpha)
             events.setdefault(alpha, dec.event())
             decorations.setdefault(alpha, dec)
-            for st in mono.automaton.states:
-                if mono.origins[st.name] == Y:
+            for st in states:
+                if st.marked:
                     transitions.append((st.name, alpha, st.name))
         for j, table in enumerate(sigma):
             if j == i:
@@ -257,14 +247,18 @@ def transform_modular(
                     ):
                         events.setdefault(dec.name, dec.event())
                         decorations.setdefault(dec.name, dec)
+
         automaton = Automaton(
-            name=name,
+            name=names[i] if names else f"{t.name}^T",
             events=tuple(sorted(events.values(), key=lambda ev: ev.name)),
-            states=mono.automaton.states,
+            states=states,
             transitions=tuple(transitions),
         )
+        if not automaton.is_deterministic:
+            raise InvalidAutomaton("transformed TPO is not deterministic")
+        origins = {st.name: st.kind for st in t.states}
         results.append(
-            TransformedAutomaton(automaton=automaton, origins=mono.origins, decorations=decorations)
+            TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations)
         )
     return tuple(results)
 
@@ -272,12 +266,19 @@ def transform_modular(
 def augment_missing_insertions(
     product: Automaton,
     tuple_map: Mapping[str, tuple[str, ...]],
-    components: Sequence[TransformedAutomaton],
+    tpos: Sequence[Tpo],
     bundles: Sequence["object"],
     name: str | None = None,
 ) -> Automaton:
     """Recover insertions the product loses because a component sits at a Y
     state while others hold a pending event.
+
+    ``product`` and ``tuple_map`` come from ``product_plant`` over the
+    encodings of ``tpos``; each tuple starts with one state per TPO, and
+    further parts (the constraint) are carried along unchanged.  ``bundles``
+    are the components' abstraction bundles, whose desired observers advance
+    the intruder estimates.  Each component state is read as the ``TpoState``
+    of that name.
 
     For a product state whose components are all at Y or Z origins with a
     pending context available, an event ``sigma`` may be inserted when every
@@ -288,74 +289,45 @@ def augment_missing_insertions(
     """
     observers = [bundle.h_obd.automaton for bundle in bundles]
     knows = [{ev.name for ev in bundle.component.events} for bundle in bundles]
-    parsed: list[dict[str, str]] = [dict(comp.origins) for comp in components]
+    all_events = sorted(set().union(*knows))
+    tpo_states = [t.state_map() for t in tpos]
+    y_index = [{(st.x_d, st.x_f): st.name for st in t.states if st.kind == Y} for t in tpos]
+    product_index = {parts: label for label, parts in tuple_map.items()}
+    n = len(tpos)
 
-    def split_y(comp_idx: int, state_name: str) -> tuple[str, str]:
-        # Y state names have the shape (x_d,x_f) with balanced braces.
-        inner = state_name[1:-1]
-        depth = 0
-        for pos, ch in enumerate(inner):
-            if ch in "({":
-                depth += 1
-            elif ch in ")}":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return inner[:pos], inner[pos + 1 :]
-        raise ValueError(f"cannot split state name {state_name!r}")
-
-    name_index = {st.name: st for st in product.states}
     events = {ev.name: ev for ev in product.events}
     added: list[Transition] = []
     existing = set(product.transitions)
     for prod_state, parts in tuple_map.items():
-        comp_states = parts[: len(components)]
-        kinds = [parsed[i][comp_states[i]] for i in range(len(components))]
-        if any(kind == W for kind in kinds):
+        comp_states = [tpo_states[i][parts[i]] for i in range(n)]
+        if any(st.kind == W for st in comp_states):
             continue
-        pending = None
-        for i, kind in enumerate(kinds):
-            if kind == Z:
-                ctx = comp_states[i].rsplit(",", 1)[1][:-1]
-                pending = ctx
-                break
+        pending = next((st.event for st in comp_states if st.kind == Z), None)
         if pending is None:
             continue
-        all_events = sorted(set().union(*knows))
         for sigma in all_events:
-            movers = [i for i in range(len(components)) if sigma in knows[i]]
-            if not movers:
+            movers = [i for i in range(n) if sigma in knows[i]]
+            if not movers or any(comp_states[i].kind != Y for i in movers):
                 continue
-            targets = list(comp_states)
-            ok = True
-            moved_any = False
+            targets = list(parts)
             for i in movers:
-                if kinds[i] != Y:
-                    ok = False
+                st = comp_states[i]
+                nxt = observers[i].successors(st.x_d, sigma)
+                target = y_index[i].get((nxt[0], st.x_f)) if nxt else None
+                if target is None:
                     break
-                x_d, x_f = split_y(i, comp_states[i])
-                nxt = observers[i].successors(x_d, sigma)
-                if not nxt:
-                    ok = False
-                    break
-                targets[i] = f"({nxt[0]},{x_f})"
-                moved_any = True
-            if not ok or not moved_any:
-                continue
-            target_tuple = tuple(targets) + tuple(parts[len(components) :])
-            target_name = None
-            for cand, cand_parts in tuple_map.items():
-                if cand_parts == target_tuple:
-                    target_name = cand
-                    break
-            if target_name is None:
-                continue
-            dec = DecoratedEvent(kind=INSERT, base=sigma, context=pending)
-            if dec.name not in events:
-                events[dec.name] = dec.event()
-            edge = (prod_state, dec.name, target_name)
-            if edge not in existing:
-                added.append(edge)
-                existing.add(edge)
+                targets[i] = target
+            else:
+                target_name = product_index.get(tuple(targets))
+                if target_name is None:
+                    continue
+                dec = DecoratedEvent(kind=INSERT, base=sigma, context=pending)
+                if dec.name not in events:
+                    events[dec.name] = dec.event()
+                edge = (prod_state, dec.name, target_name)
+                if edge not in existing:
+                    added.append(edge)
+                    existing.add(edge)
     return Automaton(
         name=name or f"{product.name}+ins",
         events=tuple(sorted(events.values(), key=lambda ev: ev.name)),

@@ -57,6 +57,13 @@ def test_transformed_document_round_trip(mono_tpo):
     assert loaded.decorations == dict(enc.decorations)
 
 
+def test_transformed_document_rejects_origin_of_unknown_state(mono_tpo):
+    doc = json.loads(serialize_document(transform_monolithic(mono_tpo)))
+    doc["origins"]["no such state"] = "Y"
+    with pytest.raises(DocumentError, match="origin"):
+        parse_document(json.dumps(doc))
+
+
 def test_structure_document_round_trip(structure):
     text = serialize_document(structure)
     loaded = parse_document(text)
@@ -253,6 +260,61 @@ def test_cli_synthesize_unenforceable_exit_three(tmp_path):
     path.write_text(serialize_automaton(exposed), encoding="utf-8")
     result = runner().invoke(main, ["synthesize", str(path), "-k", "1"])
     assert result.exit_code == 3
+
+
+COLLIDING = {
+    # determinize names the estimate {a, b} and the singleton {"a,b"} alike
+    "name": "collide",
+    "events": [{"name": "x"}, {"name": "y"}],
+    "states": [{"name": "a", "initial": True}, {"name": "b"}, {"name": "a,b", "secret": True}],
+    "transitions": [["a", "x", "a"], ["a", "x", "b"], ["b", "y", "a,b"]],
+}
+
+
+@pytest.mark.parametrize("command", [["verify-opacity"], ["synthesize", "-k", "1"]])
+def test_cli_reports_invalid_pipeline_automaton_as_input_error(tmp_path, command):
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(COLLIDING), encoding="utf-8")
+    result = runner().invoke(main, [*command, str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: ") and "duplicate state '{a,b}'" in line
+
+
+def _structure_file(tmp_path, edit):
+    out = tmp_path / "structure.json"
+    assert runner().invoke(main, ["synthesize", G1, G2, "-k", "1", "-o", str(out)]).exit_code == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    edit(doc)
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return str(out)
+
+
+def _drop_initial_entry(doc):
+    del doc["tuple_map"][doc["supervisor"]["states"][0]["name"]]
+
+
+def _misname_component_part(doc):
+    entry = doc["tuple_map"][doc["supervisor"]["states"][0]["name"]]
+    entry[0] = "no such state"
+
+
+def _misname_constraint_part(doc):
+    entry = doc["tuple_map"][doc["plant"]["states"][-1]["name"]]
+    entry[-1] = entry[0]
+
+
+@pytest.mark.parametrize(
+    "edit", [_drop_initial_entry, _misname_component_part, _misname_constraint_part]
+)
+def test_cli_step_rejects_inconsistent_tuple_map(tmp_path, edit):
+    path = _structure_file(tmp_path, edit)
+    with pytest.raises(DocumentError, match="tuple_map"):
+        parse_document(Path(path).read_text(encoding="utf-8"))
+    result = runner().invoke(main, ["step", path], input="quit\n")
+    assert result.exit_code == 2
+    assert "tuple_map" in result.output
 
 
 def test_cli_step_rejects_plain_automaton():

@@ -14,7 +14,7 @@ from opacedit import (
     supremal_controllable_nonblocking,
     synthesize_modular_edit_structure,
 )
-from opacedit.oracle import RandomSpec, random_pair, random_system
+from opacedit.oracle import RandomSpec, random_pair
 from opacedit.synthesis import ProductPlant, product_plant
 
 
@@ -271,27 +271,6 @@ def _assert_same_back_end(systems, max_erasures=1):
     _assert_same_supervisor(got.automaton)
 
 
-def _ring(seed, size=3):
-    """``size`` random components in a ring: letters ``a``, ``b``, ``c`` of
-    component ``i`` become a private event, the event shared with its left
-    neighbour and the event shared with its right neighbour."""
-    rng = random.Random(seed)
-    links = [f"l{(i - 1) % size}{i}" for i in range(size)]
-    systems = []
-    for i in range(size):
-        g = random_system(RandomSpec(seed=rng.randrange(2**32), max_states=5), name=f"c{i}")
-        names = {"a": f"p{i}", "b": links[i], "c": links[(i + 1) % size]}
-        systems.append(
-            Automaton(
-                name=g.name,
-                events=tuple(Event(names[ev.name]) for ev in g.events),
-                states=g.states,
-                transitions=tuple((s, names.get(l, l), d) for s, l, d in g.transitions),
-            )
-        )
-    return systems
-
-
 def test_back_end_matches_reference_on_demo_pair():
     for k in (0, 1, 2):
         _assert_same_back_end(list(demo_pair()), max_erasures=k)
@@ -303,13 +282,13 @@ def test_back_end_matches_reference_on_random_pairs(seed):
 
 
 @pytest.mark.parametrize("seed", range(16))
-def test_back_end_matches_reference_on_rings_of_three(seed):
-    _assert_same_back_end(_ring(seed))
+def test_back_end_matches_reference_on_rings_of_three(seed, ring):
+    _assert_same_back_end(ring(seed))
 
 
-def test_back_end_matches_reference_on_a_large_ring():
+def test_back_end_matches_reference_on_a_large_ring(ring):
     # index 23 of this stream has a product of about 2,700 states
-    systems = _ring(23)
+    systems = ring(23)
     m = synthesize_modular_edit_structure(systems, max_erasures=1)
     assert len(m.plant.states) > 2000 and not m.is_empty()
     _assert_same_back_end(systems)
