@@ -25,7 +25,7 @@ from .documents import (
     tpo_to_dict,
 )
 from .dot import export_dot
-from .estimation import check_current_state_opacity, desired_observer, determinize
+from .estimation import check_current_state_opacity
 from .oracle import SUITE_NAMES, run_suite
 from .runtime import POLICIES, StepError, open_session, step
 from .synthesis import (
@@ -34,7 +34,7 @@ from .synthesis import (
     product_plant,
     synthesize_modular_edit_structure,
 )
-from .tpo import build_largest_tpo
+from .tpo import largest_tpo
 from .transform import augment_missing_insertions, transform_monolithic
 
 EXIT_VIOLATED = 1
@@ -145,8 +145,7 @@ def abstract(file: str, output_prefix: str | None) -> None:
 def tpo_command(file: str, output: str | None) -> None:
     """Build the largest three-player observer of one automaton."""
     g = _read_automaton(file)
-    observer = determinize(g)
-    t = build_largest_tpo(desired_observer(observer), observer, name=f"tpo({g.name})")
+    t = largest_tpo(g, name=f"tpo({g.name})")
     _write(json.dumps(tpo_to_dict(t), indent=2, ensure_ascii=False) + "\n", output)
 
 
@@ -173,8 +172,7 @@ def transform(
         if len(systems) > 1:
             raise click.UsageError("monolithic transform takes exactly one file; use --modular")
         g = systems[0]
-        observer = determinize(g)
-        t = build_largest_tpo(desired_observer(observer), observer, name=f"tpo({g.name})")
+        t = largest_tpo(g, name=f"tpo({g.name})")
         encoded = transform_monolithic(t, name=f"{g.name}^T")
         _write(serialize_document(encoded), output_prefix)
         return

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automata import Automaton, Event, State, Transition
-from .transform import ERASE, INSERT, DecoratedEvent, TransformedAutomaton, parse_decorated
+from .transform import ERASE, INSERT, TransformedAutomaton, decoration_table
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,10 @@ class ConstraintSpec:
 
 def constraint_alphabet(components: Sequence[TransformedAutomaton]) -> ConstraintSpec:
     """Collect every insert and erase decoration declared by the components."""
-    inserts: set[str] = set()
-    erasures: set[str] = set()
-    for comp in components:
-        for name, dec in comp.decorations.items():
-            if dec.kind == INSERT:
-                inserts.add(name)
-            elif dec.kind == ERASE:
-                erasures.add(name)
-    return ConstraintSpec(max_erasures=0, inserts=tuple(sorted(inserts)), erasures=tuple(sorted(erasures)))
+    table = decoration_table(components)
+    inserts = tuple(sorted(name for name, dec in table.items() if dec.kind == INSERT))
+    erasures = tuple(sorted(name for name, dec in table.items() if dec.kind == ERASE))
+    return ConstraintSpec(max_erasures=0, inserts=inserts, erasures=erasures)
 
 
 def build_constraint_automaton(
@@ -49,7 +44,8 @@ def build_constraint_automaton(
     """Build the erasure-budget specification over the components' decisions.
 
     ``max_erasures`` is the number of consecutive erasures allowed; the chain
-    has ``max_erasures + 2`` states and only the last one is unmarked.
+    has ``max_erasures + 2`` states and only the last one is unmarked.  Its
+    events are insert and erase decisions, so all of them are controllable.
     """
     if max_erasures < 0:
         raise ValueError("max_erasures must be nonnegative")
@@ -71,8 +67,5 @@ def build_constraint_automaton(
             transitions.append((f"x{i}", erz, f"x{i + 1}"))
         for ins in ins_events:
             transitions.append((f"x{i}", ins, "x1"))
-    events = tuple(
-        Event(name=n, observable=True, controllable=parse_decorated(n).controllable)
-        for n in sorted(set(ins_events) | set(erz_events))
-    )
+    events = tuple(Event(name=n) for n in sorted(set(ins_events) | set(erz_events)))
     return Automaton(name=name, events=events, states=states, transitions=tuple(transitions))

@@ -21,7 +21,7 @@ from typing import Any
 from .automata import Automaton, Event, InvalidAutomaton, State
 from .synthesis import ModularEditStructure
 from .tpo import Tpo, TpoState, TpoTransition
-from .transform import TransformedAutomaton, parse_decorated
+from .transform import TransformedAutomaton, decoration_table, parse_decorated
 
 KIND_TPO = "tpo"
 KIND_TRANSFORMED = "transformed-automaton"
@@ -251,7 +251,12 @@ def transformed_from_dict(doc: Any, path: str = "$") -> TransformedAutomaton:
             _fail(f"{path}.origins", f"missing origin for state {st.name!r}")
     if len(origins) != len(automaton.states):
         _fail(f"{path}.origins", "origin given for a name that is not a state")
-    decorations = {ev.name: parse_decorated(ev.name) for ev in automaton.events}
+    decorations = {}
+    for i, ev in enumerate(automaton.events):
+        try:
+            decorations[ev.name] = parse_decorated(ev.name)
+        except ValueError as err:
+            _fail(f"{path}.automaton.events[{i}].name", str(err))
     return TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations)
 
 
@@ -300,6 +305,12 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
     missing = [st.name for st in plant.states + supervisor.states if st.name not in tuple_map]
     if missing:
         _fail(f"{path}.tuple_map", f"missing entry for state {missing[0]!r}")
+    # The runtime reads every decoration from the components.
+    declared = decoration_table(components)
+    for key, automaton in (("plant", plant), ("supervisor", supervisor)):
+        for i, ev in enumerate(automaton.events):
+            if ev.name not in declared:
+                _fail(f"{path}.{key}.events[{i}].name", f"event {ev.name!r} is declared by no component")
     diagnostics = tuple(
         _expect_string(entry, f"{path}.diagnostics[{i}]")
         for i, entry in enumerate(_expect_list(doc.get("diagnostics", []), f"{path}.diagnostics"))

@@ -38,7 +38,7 @@ from .synthesis import (
     supremal_controllable_nonblocking,
     synthesize_modular_edit_structure,
 )
-from .tpo import Tpo, build_largest_tpo, prune_to_aes
+from .tpo import Tpo, build_largest_tpo, largest_tpo, prune_to_aes
 from .transform import (
     DELIVER,
     DELIVER_ERASED,
@@ -46,8 +46,7 @@ from .transform import (
     INSERT,
     STOP,
     SYSTEM,
-    DecoratedEvent,
-    parse_decorated,
+    decoration_table,
     run_label,
     transform_monolithic,
 )
@@ -195,8 +194,7 @@ def tpo_bisimilar(a: Tpo, b: Tpo) -> bool:
 def check_tpo_abstraction(g: Automaton) -> bool:
     """The TPO built over the abstracted observers is equivalent, run for run,
     to the TPO built over the exact observers."""
-    observer = determinize(g)
-    exact = build_largest_tpo(desired_observer(observer), observer)
+    exact = largest_tpo(g)
     bundle = abstract_component(g)
     abstracted = build_largest_tpo(bundle.h_obd, bundle.h_b)
     return tpo_bisimilar(exact, abstracted)
@@ -207,8 +205,7 @@ def _supervisor_canonical(m_supervisor: Automaton, decorations) -> tuple:
         st.name: [] for st in m_supervisor.states
     }
     for src, label, dst in m_supervisor.transitions:
-        dec = decorations.get(label) or parse_decorated(label)
-        edges[src].append((run_label(dec), dst))
+        edges[src].append((run_label(decorations[label]), dst))
     initial = m_supervisor.initial_states[0] if m_supervisor.initial_states else None
     flags = {st.name: () for st in m_supervisor.states}
     return canonical_table(initial, edges, flags)
@@ -228,8 +225,7 @@ def _aes_canonical(aes: Tpo) -> tuple:
 def check_supervisor_equals_aes(g: Automaton, max_erasures: int) -> bool:
     """Synthesis over the encoded TPO with the constraint spec produces, up to
     renaming, exactly the directly pruned edit structure."""
-    observer = determinize(g)
-    t = build_largest_tpo(desired_observer(observer), observer)
+    t = largest_tpo(g)
     encoded = transform_monolithic(t)
     spec = build_constraint_automaton(max_erasures, [encoded])
     plant = product_plant([encoded], spec)
@@ -254,16 +250,12 @@ def check_modular_inclusion(
     if any(bundle.h_obd.is_empty() for bundle in bundles):
         return True, ()
     product = compose_all([comp.automaton for comp in components])
-    composed = compose_all(systems)
-    observer = determinize(composed)
-    mono = build_largest_tpo(desired_observer(observer), observer)
+    mono = largest_tpo(compose_all(systems))
     mono_edges: dict[tuple[str, tuple[str, str]], str] = {}
     for tr in mono.transitions:
         mono_edges[(tr.source, (tr.cls, tr.label))] = tr.target
 
-    decorations: dict[str, DecoratedEvent] = {}
-    for comp in components:
-        decorations.update(comp.decorations)
+    decorations = decoration_table(components)
     if not product.states or mono.initial is None:
         return True, ()
     start = (product.initial_states[0], mono.initial)
@@ -274,8 +266,7 @@ def check_modular_inclusion(
         if used == depth:
             continue
         for label, dst in product.outgoing(p_state):
-            dec = decorations.get(label) or parse_decorated(label)
-            key = (t_state, run_label(dec))
+            key = (t_state, run_label(decorations[label]))
             target = mono_edges.get(key)
             if target is None:
                 return False, trace + (label,)
@@ -322,14 +313,11 @@ def check_private_safety(
             here = nxt[0] if nxt else None
         return here
 
-    decorations = {}
-    for comp in m.components:
-        decorations.update(comp.decorations)
+    decorations = decoration_table(m.components)
     supervisor = m.supervisor
     edges: dict[str, list[tuple[str, object, str]]] = {st.name: [] for st in supervisor.states}
     for src, label, dst in supervisor.transitions:
-        dec = decorations.get(label) or parse_decorated(label)
-        edges[src].append((label, dec, dst))
+        edges[src].append((label, decorations[label], dst))
 
     genuine = sorted(language_upto(composed, depth), key=lambda s: (len(s), s))
     violations: list[str] = []
@@ -410,7 +398,7 @@ def check_private_safety(
             violations.append(f"unsafe session output {shown} after {'.'.join(string)}")
         streak = 0
         for label in session.trace:
-            dec = decorations.get(label) or parse_decorated(label)
+            dec = decorations[label]
             if dec.kind == INSERT:
                 streak = 0
             elif dec.kind == ERASE:

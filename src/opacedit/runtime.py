@@ -25,7 +25,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .automata import Automaton
 from .synthesis import ModularEditStructure
 from .transform import (
     DELIVER,
@@ -35,6 +34,7 @@ from .transform import (
     STOP,
     SYSTEM,
     DecoratedEvent,
+    decoration_table,
 )
 
 POLICIES = ("pass-through", "lexicographic", "random")
@@ -87,7 +87,7 @@ def open_session(
         raise StepError("supervisor is empty: no edit function exists under the constraint")
     supervisor = m.supervisor
     initial = supervisor.initial_states[0]
-    decorations = _decoration_table(m)
+    decorations = decoration_table(m.components)
     edges: dict[str, list[tuple[str, DecoratedEvent, str]]] = {}
     for src, label, dst in supervisor.transitions:
         edges.setdefault(src, []).append((label, decorations[label], dst))
@@ -105,17 +105,6 @@ def open_session(
         _decorations=decorations,
         _y_states=y_states,
     )
-
-
-def _decoration_table(m: ModularEditStructure) -> dict[str, DecoratedEvent]:
-    table: dict[str, DecoratedEvent] = {}
-    for comp in m.components:
-        table.update(comp.decorations)
-    from .transform import parse_decorated
-
-    for ev in m.supervisor.events:
-        table.setdefault(ev.name, parse_decorated(ev.name))
-    return table
 
 
 def _enabled(session: Session, kinds: tuple[str, ...]) -> list[tuple[str, DecoratedEvent, str]]:
@@ -207,7 +196,6 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
     exhausted the session policy finishes the step.  The session state only
     changes when the whole step succeeds.
     """
-    m = session.structure
     saved_state, saved_depth = session.current, len(session.trace)
     emitted: list[str] = []
     try:
@@ -219,10 +207,7 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
             if item[1].kind == SYSTEM and item[1].base == event
         ]
         if not arrivals:
-            known = any(
-                event == ev.name for comp in m.components for ev in comp.automaton.events
-            )
-            if not known:
+            if event not in session._decorations:
                 raise StepError(f"unknown event {event!r}")
             raise StepError(f"event {event!r} is not enabled at {session.current}")
         _fire(session, arrivals[0], emitted)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .automata import EPSILON, Automaton, Event, erasure_symbol, language_upto
-from .estimation import Observer
+from .estimation import Observer, desired_observer, determinize
 
 Y, Z, W = "Y", "Z", "W"
 YZ, ZZ, ZW1, ZW2, WY1, WY2 = "yz", "zz", "zw1", "zw2", "wy1", "wy2"
@@ -84,6 +84,13 @@ class Tpo:
         for tr in self.transitions:
             table[tr.source].append(tr)
         return table
+
+
+def largest_tpo(g: Automaton, name: str = "tpo") -> Tpo:
+    """The largest TPO of ``g`` over its exact observer and desired observer,
+    without abstraction."""
+    observer = determinize(g)
+    return build_largest_tpo(desired_observer(observer), observer, name=name)
 
 
 def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:

@@ -15,6 +15,10 @@ Serialized decorated-event names:
     deliver e       ->  out:e@e
     deliver erased  ->  drop:e@e
 
+The encoding rejects a system event name with an ``@`` or an ``ins:``,
+``erz:``, ``out:`` or ``drop:`` prefix, so names and decorations correspond one
+to one; only the document reader parses names back.
+
 In the modular encoding each component additionally self-loops, at Y states,
 on the plain system events that are local to other components, and enlarges
 its alphabet with the decorated shared events contextualized by foreign-local
@@ -108,6 +112,15 @@ def parse_decorated(name: str) -> DecoratedEvent:
     return DecoratedEvent(kind=SYSTEM, base=name)
 
 
+def is_plain_event_name(name: str) -> bool:
+    """True iff ``name`` reads back as the system event of that name, so that
+    no decorated event can be spelled like it."""
+    try:
+        return parse_decorated(name) == DecoratedEvent(kind=SYSTEM, base=name)
+    except ValueError:
+        return False
+
+
 def rename(d: DecoratedEvent) -> str | None:
     """Strip the decoration back to the edit symbol it denotes: inserted and
     delivered events keep their base name, a stop maps to the empty string
@@ -134,6 +147,15 @@ class TransformedAutomaton:
     automaton: Automaton
     origins: Mapping[str, str]
     decorations: Mapping[str, DecoratedEvent]
+
+
+def decoration_table(components: Iterable[TransformedAutomaton]) -> dict[str, DecoratedEvent]:
+    """The decoration of every event any of ``components`` declares; a
+    product of the components and their constraint has no other events."""
+    table: dict[str, DecoratedEvent] = {}
+    for comp in components:
+        table.update(comp.decorations)
+    return table
 
 
 _TPO_KIND = {YZ: SYSTEM, ZZ: INSERT, ZW1: STOP, ZW2: ERASE, WY1: DELIVER, WY2: DELIVER_ERASED}
@@ -182,84 +204,75 @@ def transform_modular(
     taken unilaterally).  With a single component neither applies, which is
     the monolithic encoding.
     """
-    sigma: list[dict[str, Event]] = []
-    for i, alphabet in enumerate(alphabets):
-        table = {ev.name: ev for ev in alphabet}
-        tpo_events = {ev.name for ev in ts[i].events}
-        if not tpo_events <= set(table):
+    sigma = [{ev.name for ev in alphabet} for alphabet in alphabets]
+    for i, declared in enumerate(sigma):
+        reserved = sorted(label for label in declared if not is_plain_event_name(label))
+        if reserved:
+            raise InvalidAutomaton(
+                f"component {i}: event name {reserved[0]!r} is reserved: names may not contain"
+                " '@' or start with 'ins:', 'erz:', 'out:' or 'drop:'"
+            )
+        if not {ev.name for ev in ts[i].events} <= declared:
             raise InvalidAutomaton(f"component {i}: TPO alphabet not covered by declared alphabet")
-        sigma.append(table)
     results = []
     for i, t in enumerate(ts):
         state_map = t.state_map()
         contexts = sorted({st.event for st in t.states if st.kind == Z})
         alphabet = sorted(ev.name for ev in t.events if ev.observable)
-        events: dict[str, Event] = {}
+        decorations: dict[str, DecoratedEvent] = {}
         for base in alphabet:
-            events[base] = DecoratedEvent(kind=SYSTEM, base=base).event()
+            decorations[base] = DecoratedEvent(kind=SYSTEM, base=base)
         for context in contexts:
             for base in alphabet:
                 dec = DecoratedEvent(kind=INSERT, base=base, context=context)
-                events[dec.name] = dec.event()
+                decorations[dec.name] = dec
             for dec in (
                 DecoratedEvent(kind=STOP, base=EPSILON, context=context),
                 DecoratedEvent(kind=ERASE, base=context, context=context),
             ):
-                events[dec.name] = dec.event()
+                decorations[dec.name] = dec
         transitions: list[Transition] = []
-        decorations: dict[str, DecoratedEvent] = {}
         for tr in t.transitions:
             pending = state_map[tr.source].event if state_map[tr.source].kind == Z else None
             dec = _decorate(tr, pending)
-            if dec.name not in events:
-                events[dec.name] = dec.event()
-            decorations[dec.name] = dec
-            transitions.append((tr.source, dec.name, tr.target))
-        for ev_name in events:
-            decorations.setdefault(ev_name, parse_decorated(ev_name))
+            label = dec.name
+            decorations[label] = dec
+            transitions.append((tr.source, label, tr.target))
         states = tuple(
             State(name=st.name, initial=(st.name == t.initial), marked=(st.kind == Y), secret=False)
             for st in t.states
         )
 
-        local = set(sigma[i])
-        foreign: set[str] = set()
-        for j, table in enumerate(sigma):
-            if j != i:
-                foreign |= set(table) - local
+        local = sigma[i]
+        foreign = set().union(*(table - local for j, table in enumerate(sigma) if j != i))
         for alpha in sorted(foreign):
-            dec = DecoratedEvent(kind=SYSTEM, base=alpha)
-            events.setdefault(alpha, dec.event())
-            decorations.setdefault(alpha, dec)
+            decorations[alpha] = DecoratedEvent(kind=SYSTEM, base=alpha)
             for st in states:
                 if st.marked:
                     transitions.append((st.name, alpha, st.name))
         for j, table in enumerate(sigma):
             if j == i:
                 continue
-            shared = sorted(local & set(table))
-            for alpha in sorted(set(table) - local):
+            shared = sorted(local & table)
+            for alpha in sorted(table - local):
                 for base in shared:
                     for dec in (
                         DecoratedEvent(kind=INSERT, base=base, context=alpha),
                         DecoratedEvent(kind=DELIVER, base=base, context=alpha),
                         DecoratedEvent(kind=DELIVER_ERASED, base=base, context=alpha),
                     ):
-                        events.setdefault(dec.name, dec.event())
-                        decorations.setdefault(dec.name, dec)
+                        decorations[dec.name] = dec
 
         automaton = Automaton(
             name=names[i] if names else f"{t.name}^T",
-            events=tuple(sorted(events.values(), key=lambda ev: ev.name)),
+            events=tuple(decorations[label].event() for label in sorted(decorations)),
             states=states,
             transitions=tuple(transitions),
         )
         if not automaton.is_deterministic:
             raise InvalidAutomaton("transformed TPO is not deterministic")
         origins = {st.name: st.kind for st in t.states}
-        results.append(
-            TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations)
-        )
+        results.append(TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations))
     return tuple(results)
 
 

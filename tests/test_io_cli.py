@@ -282,6 +282,53 @@ def test_cli_reports_invalid_pipeline_automaton_as_input_error(tmp_path, command
     assert line.startswith("Error: ") and "duplicate state '{a,b}'" in line
 
 
+def _reserved_name_document(name):
+    # ``c`` sits beside the reserved name, so ``stop@c`` also names the stop
+    # decision taken while a genuine ``c`` is pending
+    return {
+        "name": "reserved",
+        "events": [{"name": "c"}, {"name": name}],
+        "states": [{"name": "s0", "initial": True}, {"name": "s1"}, {"name": "s2", "secret": True}],
+        "transitions": [["s0", "c", "s1"], ["s1", name, "s0"], ["s0", name, "s2"], ["s2", "c", "s0"]],
+    }
+
+
+@pytest.mark.parametrize("name", ["a@b", "stop@c", "ins:x"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synthesize", "-k", "1", "{doc}"],
+        ["transform", "{doc}"],
+        ["transform", "--modular", "{doc}", "-o", "{tmp}/enc"],
+        ["spec-k", "-k", "1", "--plant", "{doc}"],
+    ],
+    ids=["synthesize", "transform", "transform-modular", "spec-k"],
+)
+def test_cli_rejects_event_names_spelled_like_decorations(tmp_path, name, command):
+    path = tmp_path / "reserved.json"
+    path.write_text(json.dumps(_reserved_name_document(name)), encoding="utf-8")
+    args = [arg.format(doc=path, tmp=tmp_path) for arg in command]
+    result = runner().invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: ") and repr(name) in line
+    assert not list(tmp_path.glob("enc*"))
+
+
+def test_cli_export_dot_reports_malformed_decorated_name(tmp_path, mono_tpo):
+    doc = json.loads(serialize_document(transform_monolithic(mono_tpo)))
+    doc["automaton"]["events"].append({"name": "ins:x"})
+    index = len(doc["automaton"]["events"]) - 1
+    path = tmp_path / "encoded.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = runner().invoke(main, ["export-dot", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    [line] = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert f"$.automaton.events[{index}].name: malformed decorated event 'ins:x'" in line
+
+
 def _structure_file(tmp_path, edit):
     out = tmp_path / "structure.json"
     assert runner().invoke(main, ["synthesize", G1, G2, "-k", "1", "-o", str(out)]).exit_code == 0
@@ -315,6 +362,45 @@ def test_cli_step_rejects_inconsistent_tuple_map(tmp_path, edit):
     result = runner().invoke(main, ["step", path], input="quit\n")
     assert result.exit_code == 2
     assert "tuple_map" in result.output
+
+
+def _declare_ghost_plant_event(doc):
+    doc["plant"]["events"].append({"name": "ghost"})
+
+
+def _declare_ghost_supervisor_event(doc):
+    doc["supervisor"]["events"].append({"name": "ghost"})
+
+
+def _declare_malformed_component_event(doc):
+    doc["components"][1]["automaton"]["events"].append({"name": "ins:x"})
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (
+            _declare_ghost_plant_event,
+            r"\$\.plant\.events\[\d+\]\.name: event 'ghost' is declared by no component",
+        ),
+        (
+            _declare_ghost_supervisor_event,
+            r"\$\.supervisor\.events\[\d+\]\.name: event 'ghost' is declared by no component",
+        ),
+        (
+            _declare_malformed_component_event,
+            r"\$\.components\[1\]\.automaton\.events\[\d+\]\.name: malformed decorated event 'ins:x'",
+        ),
+    ],
+    ids=["plant", "supervisor", "component"],
+)
+def test_cli_step_rejects_undeclared_or_malformed_events(tmp_path, edit, where):
+    path = _structure_file(tmp_path, edit)
+    with pytest.raises(DocumentError, match=where):
+        parse_document(Path(path).read_text(encoding="utf-8"))
+    result = runner().invoke(main, ["step", path], input="quit\n")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_cli_step_rejects_plain_automaton():

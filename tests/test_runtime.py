@@ -60,7 +60,7 @@ def test_random_policy_is_seed_deterministic(structure):
 
 def test_unknown_event_rejected(structure):
     s = open_session(structure, policy="pass-through")
-    with pytest.raises(StepError):
+    with pytest.raises(StepError, match="unknown event 'nonsense'"):
         step(s, "nonsense")
 
 
@@ -68,9 +68,18 @@ def test_disabled_event_rejected(structure):
     s = open_session(structure, policy="pass-through")
     step(s, "gamma")
     state_before = s.current
-    with pytest.raises(StepError):
+    with pytest.raises(StepError, match="event 'gamma' is not enabled"):
         step(s, "gamma")  # gamma cannot occur twice in a row in the fixture
     assert s.current == state_before
+
+
+@pytest.mark.parametrize("name", ["stop@beta", "erz:gamma@gamma", "ins:alpha@beta"])
+def test_decorated_name_typed_as_event_is_not_enabled(structure, name):
+    # declared by a component, so known, but never a genuine arrival
+    s = open_session(structure, policy="pass-through")
+    with pytest.raises(StepError, match=f"event {name!r} is not enabled"):
+        step(s, name)
+    assert s.trace == []
 
 
 def test_invalid_override_rolls_back(structure):

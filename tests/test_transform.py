@@ -4,6 +4,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opacedit import (
     EPSILON,
@@ -37,6 +39,7 @@ from opacedit.transform import (
     SYSTEM,
     TransformedAutomaton,
     _decorate,
+    is_plain_event_name,
     run_label,
 )
 
@@ -66,6 +69,28 @@ def test_parse_decorated_rejects_garbage():
         parse_decorated("frob:a@b")  # unknown prefix with decoration syntax
     # plain names without decoration syntax stay system events
     assert parse_decorated("frobnicate").kind == "system"
+
+
+# Names built from the pieces of the decoration syntax, kept when the
+# encoding's input check accepts them.
+_PIECES = ["ins", "erz", "out", "drop", "stop", ":", "@", "a", "b"]
+plain_names = (
+    st.lists(st.sampled_from(_PIECES), min_size=1, max_size=5).map("".join).filter(is_plain_event_name)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=plain_names, context=plain_names)
+def test_decorations_of_accepted_names_read_back(base, context):
+    for dec in (
+        DecoratedEvent(kind=SYSTEM, base=base),
+        DecoratedEvent(kind=INSERT, base=base, context=context),
+        DecoratedEvent(kind=STOP, base=EPSILON, context=context),
+        DecoratedEvent(kind=ERASE, base=base, context=context),
+        DecoratedEvent(kind=DELIVER, base=base, context=context),
+        DecoratedEvent(kind=DELIVER_ERASED, base=base, context=context),
+    ):
+        assert parse_decorated(dec.name) == dec
 
 
 def test_monolithic_encoding_mirrors_tpo(mono_tpo):
