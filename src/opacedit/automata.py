@@ -1,5 +1,7 @@
 """Nondeterministic finite automata with unobservable moves, and the basic
-operations the rest of the library is built on: synchronous composition,
+operations the rest of the library is built on: the synchronous product of
+any number of automata (``synchronous_product``, one breadth-first pass over
+tuples of local states, behind both ``compose_all`` and the synthesis plant),
 restriction to a state subset, quotients by a state partition, natural
 projection, observable language up to a length bound and isomorphism of
 deterministic automata.
@@ -15,7 +17,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import product
+from operator import contains
+from typing import Callable, Iterable, Mapping, Sequence
 
 TAU = "tau"
 EPSILON = "ε"
@@ -197,79 +201,131 @@ def _merge_events(parts: Sequence[Automaton]) -> tuple[Event, ...]:
     return tuple(sorted(merged.values(), key=lambda ev: ev.name))
 
 
-def pair_name(left: str, right: str) -> str:
-    return f"({left},{right})"
+def synchronous_product(
+    parts: Sequence[Automaton],
+    name: str,
+    state_name: Callable[[tuple[str, ...]], str],
+) -> tuple[Automaton, dict[str, tuple[str, ...]]]:
+    """Synchronous product of any number of automata, reachable part only.
 
+    An event moves every part that declares it in lock step (a nondeterministic
+    part branches into each combination of successors); events one part
+    declares, and each part's ``tau`` moves, interleave.  Every combination of
+    initial states is a start state.  A product state is initial or marked iff
+    every local state is and secret iff some local state is; it is named
+    ``state_name(local_states)``, and the returned map takes each name back to
+    its tuple of local states.
 
-def sync_compose(a: Automaton, b: Automaton, name: str | None = None) -> Automaton:
-    """Synchronous composition: shared events move in lock step, private events
-    and tau interleave.  A composite state is initial/marked iff both components
-    are and secret iff either component is.  Only the reachable part is kept.
+    Each event is owned by the first part that declares it, and a state only
+    probes the events its owners enable from their local states, in sorted
+    name order, before the ``tau`` moves of each part in part order.  An event
+    its owner cannot take could never fire, so states and transitions come out
+    in the same order as probing every event would give them.
     """
-    events = _merge_events((a, b))
-    shared = {ev.name for ev in a.events} & {ev.name for ev in b.events}
-    a_events = {ev.name for ev in a.events}
-    b_events = {ev.name for ev in b.events}
+    events = _merge_events(parts)
 
-    start_pairs = [(x, y) for x in a.initial_states for y in b.initial_states]
-    seen: dict[tuple[str, str], str] = {}
-    order: list[tuple[str, str]] = []
+    # Per event (by position in ``events``): its name and the parts that
+    # declare it.  Per part: for each local state, the events it owns and has
+    # a move on, as a bit mask over positions (bit k is ``events[k]``), and
+    # whether it has any ``tau`` move at all.
+    names = [ev.name for ev in events]
+    position = {label: k for k, label in enumerate(names)}
+    participants: list[list[int]] = [[] for _ in events]
+    for i, part in enumerate(parts):
+        for ev in part.events:
+            participants[position[ev.name]].append(i)
+    enabled: list[dict[str, int]] = []
+    silent: list[int] = []
+    for i, part in enumerate(parts):
+        owned = {names[k]: 1 << k for k, who in enumerate(participants) if who[0] == i}
+        masks: dict[str, int] = {}
+        has_tau = False
+        for src, label, _ in part.transitions:
+            if label in owned:
+                masks[src] = masks.get(src, 0) | owned[label]
+            elif label == TAU:
+                has_tau = True
+        enabled.append(masks)
+        if has_tau:
+            silent.append(i)
+
+    tuple_map: dict[str, tuple[str, ...]] = {}
+    index: dict[tuple[str, ...], str] = {}
     transitions: list[Transition] = []
-    queue = deque()
-    for pair in start_pairs:
-        if pair not in seen:
-            seen[pair] = pair_name(*pair)
-            order.append(pair)
-            queue.append(pair)
-    while queue:
-        x, y = queue.popleft()
-        src = seen[(x, y)]
-        moves: list[tuple[str, tuple[str, str]]] = []
-        for label, dst in a.outgoing(x):
-            if label == TAU or (label in a_events and label not in shared):
-                moves.append((label, (dst, y)))
-            elif label in shared:
-                for other in b.successors(y, label):
-                    moves.append((label, (dst, other)))
-        for label, dst in b.outgoing(y):
-            if label == TAU or (label in b_events and label not in shared):
-                moves.append((label, (x, dst)))
-        for label, pair in moves:
-            if pair not in seen:
-                seen[pair] = pair_name(*pair)
-                order.append(pair)
-                queue.append(pair)
-            transitions.append((src, label, seen[pair]))
+    queue: deque[tuple[str, ...]] = deque()
 
-    states = []
-    for x, y in order:
-        sa, sb = a.state_map[x], b.state_map[y]
-        states.append(
-            State(
-                name=seen[(x, y)],
-                initial=sa.initial and sb.initial,
-                marked=sa.marked and sb.marked,
-                secret=sa.secret or sb.secret,
-            )
+    def admit(local: tuple[str, ...]) -> str:
+        label = index.get(local)
+        if label is None:
+            label = index[local] = state_name(local)
+            tuple_map[label] = local
+            queue.append(local)
+        return label
+
+    for start in product(*(part.initial_states for part in parts)):
+        admit(start)
+    while queue:
+        here = queue.popleft()
+        src = index[here]
+        candidates = 0
+        for i, local in enumerate(here):
+            candidates |= enabled[i].get(local, 0)
+        while candidates:
+            lowest = candidates & -candidates
+            candidates ^= lowest
+            k = lowest.bit_length() - 1
+            label = names[k]
+            targets = list(here)
+            branches: list[tuple[int, tuple[str, ...]]] = []
+            for i in participants[k]:
+                nxt = parts[i].successors(here[i], label)
+                if not nxt:
+                    break
+                if len(nxt) == 1:
+                    targets[i] = nxt[0]
+                else:
+                    branches.append((i, nxt))
+            else:
+                if not branches:
+                    transitions.append((src, label, admit(tuple(targets))))
+                    continue
+                for choice in product(*(nxt for _, nxt in branches)):
+                    for (i, _), local in zip(branches, choice):
+                        targets[i] = local
+                    transitions.append((src, label, admit(tuple(targets))))
+        for i in silent:
+            for local in parts[i].successors(here[i], TAU):
+                transitions.append((src, TAU, admit(here[:i] + (local,) + here[i + 1 :])))
+
+    initial = [frozenset(part.initial_states) for part in parts]
+    marked = [part.marked_states for part in parts]
+    secret = [part.secret_states for part in parts]
+    states = tuple(
+        State(
+            name=label,
+            initial=all(map(contains, initial, local)),
+            marked=all(map(contains, marked, local)),
+            secret=any(map(contains, secret, local)),
         )
-    return Automaton(
-        name=name or f"{a.name}||{b.name}",
-        events=events,
-        states=tuple(states),
-        transitions=tuple(transitions),
+        for label, local in tuple_map.items()
     )
+    automaton = Automaton(name=name, events=events, states=states, transitions=tuple(transitions))
+    return automaton, tuple_map
 
 
 def compose_all(parts: Sequence[Automaton], name: str | None = None) -> Automaton:
-    """Left fold of sync_compose over two or more automata."""
+    """Synchronous product of one or more automata (see ``synchronous_product``),
+    named ``A||B||...`` by default, with states named ``(x,y,...)``."""
     if not parts:
         raise InvalidAutomaton("cannot compose an empty list of automata")
-    result = parts[0]
-    for part in parts[1:]:
-        result = sync_compose(result, part)
-    if name is not None:
-        result = rename_automaton(result, name)
-    return result
+    if len(parts) == 1:
+        return parts[0] if name is None else rename_automaton(parts[0], name)
+    automaton, _ = synchronous_product(
+        parts,
+        "||".join(part.name for part in parts) if name is None else name,
+        lambda local: "(" + ",".join(local) + ")",
+    )
+    return automaton
 
 
 def rename_automaton(a: Automaton, name: str) -> Automaton:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 import click
 
@@ -41,26 +42,17 @@ EXIT_VIOLATED = 1
 EXIT_UNENFORCEABLE = 3
 
 
-def _read_automaton(path: str) -> Automaton:
+def _read(path: str, parse: Callable[[str], Any]) -> Any:
+    """Parse the file at ``path`` with ``parse``; an unreadable or malformed
+    file is a usage error."""
     try:
-        return parse_automaton(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
-        raise click.UsageError(f"{path}: {err}")
-    except DocumentError as err:
-        raise click.UsageError(f"{path}: {err}")
-
-
-def _read_document(path: str):
-    try:
-        return parse_document(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
-        raise click.UsageError(f"{path}: {err}")
-    except DocumentError as err:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, DocumentError) as err:
         raise click.UsageError(f"{path}: {err}")
 
 
 def _compose(files: tuple[str, ...]) -> list[Automaton]:
-    systems = [_read_automaton(path) for path in files]
+    systems = [_read(path, parse_automaton) for path in files]
     if not systems:
         raise click.UsageError("at least one automaton file is required")
     return systems
@@ -102,7 +94,7 @@ def verify_opacity(files: tuple[str, ...]) -> None:
     systems = _compose(files)
     targets = list(systems)
     if len(systems) > 1:
-        targets.append(compose_all(systems, name="||".join(g.name for g in systems)))
+        targets.append(compose_all(systems))
     violated = False
     for g in targets:
         report = check_current_state_opacity(g)
@@ -123,7 +115,7 @@ def verify_opacity(files: tuple[str, ...]) -> None:
 @click.option("-o", "--output-prefix", default=None, help="Prefix for the bundle files.")
 def abstract(file: str, output_prefix: str | None) -> None:
     """Abstract one component and write its observer bundle."""
-    g = _read_automaton(file)
+    g = _read(file, parse_automaton)
     bundle = abstract_component(g)
     prefix = output_prefix or str(Path(file).with_suffix(""))
     outputs = {
@@ -144,7 +136,7 @@ def abstract(file: str, output_prefix: str | None) -> None:
 @click.option("-o", "--output", default=None, help="Output file (default stdout).")
 def tpo_command(file: str, output: str | None) -> None:
     """Build the largest three-player observer of one automaton."""
-    g = _read_automaton(file)
+    g = _read(file, parse_automaton)
     t = largest_tpo(g, name=f"tpo({g.name})")
     _write(json.dumps(tpo_to_dict(t), indent=2, ensure_ascii=False) + "\n", output)
 
@@ -252,7 +244,7 @@ def step_command(structure: str, policy: str, seed: int | None) -> None:
     ``event <name> ! <decision,decision,...>`` to force decorated decisions.
     Each step prints ``emit <string-or-ε>`` and ``state <tuple>``.
     """
-    doc = _read_document(structure)
+    doc = _read(structure, parse_document)
     if not isinstance(doc, ModularEditStructure):
         raise click.UsageError(f"{structure}: not a modular edit structure document")
     if doc.is_empty():
@@ -307,7 +299,7 @@ def check(suite: str, seed: int, count: int | None, output: str | None) -> None:
 @click.option("-o", "--output", default=None, help="Output file (default stdout).")
 def export_dot_command(file: str, output: str | None) -> None:
     """Render any document as a Graphviz digraph."""
-    doc = _read_document(file)
+    doc = _read(file, parse_document)
     _write(export_dot(doc), output)
 
 

@@ -20,7 +20,6 @@ from .transform import ERASE, INSERT, TransformedAutomaton, decoration_table
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    max_erasures: int
     inserts: tuple[str, ...]
     erasures: tuple[str, ...]
 
@@ -30,7 +29,7 @@ def constraint_alphabet(components: Sequence[TransformedAutomaton]) -> Constrain
     table = decoration_table(components)
     inserts = tuple(sorted(name for name, dec in table.items() if dec.kind == INSERT))
     erasures = tuple(sorted(name for name, dec in table.items() if dec.kind == ERASE))
-    return ConstraintSpec(max_erasures=0, inserts=inserts, erasures=erasures)
+    return ConstraintSpec(inserts=inserts, erasures=erasures)
 
 
 def build_constraint_automaton(

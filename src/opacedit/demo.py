@@ -10,7 +10,7 @@ the synthesized edit structure all stay small enough to inspect by hand.
 
 from __future__ import annotations
 
-from .automata import Automaton, Event, State, sync_compose
+from .automata import Automaton, Event, State, compose_all
 
 
 def demo_g1() -> Automaton:
@@ -56,4 +56,4 @@ def demo_pair() -> tuple[Automaton, Automaton]:
 
 
 def demo_composed() -> Automaton:
-    return sync_compose(demo_g1(), demo_g2())
+    return compose_all([demo_g1(), demo_g2()])

@@ -132,12 +132,24 @@ def automaton_to_dict(a: Automaton) -> dict:
     }
 
 
-def parse_automaton(text: str) -> Automaton:
-    """Parse an automaton document from JSON text."""
+def _load_json(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise DocumentError(f"invalid JSON: {err}") from err
+
+
+def _kind(doc: Any) -> Any:
+    return doc.get("kind") if isinstance(doc, dict) else None
+
+
+def parse_automaton(text: str) -> Automaton:
+    """Parse an automaton document from JSON text; a document of any other
+    kind is an error."""
+    doc = _load_json(text)
+    kind = _kind(doc)
+    if kind is not None:
+        _fail("$.kind", f"expected an automaton document, got kind {kind!r}")
     return automaton_from_dict(doc)
 
 
@@ -316,7 +328,6 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
         for i, entry in enumerate(_expect_list(doc.get("diagnostics", []), f"{path}.diagnostics"))
     )
     return ModularEditStructure(
-        bundles=(),
         components=components,
         constraint=constraint,
         plant=plant,
@@ -330,11 +341,8 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
 def parse_document(text: str) -> Automaton | Tpo | TransformedAutomaton | ModularEditStructure:
     """Parse any document, dispatching on its "kind" field; documents without
     one are plain automata."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DocumentError(f"invalid JSON: {err}") from err
-    kind = doc.get("kind") if isinstance(doc, dict) else None
+    doc = _load_json(text)
+    kind = _kind(doc)
     if kind is None:
         return automaton_from_dict(doc)
     if kind == KIND_TPO:

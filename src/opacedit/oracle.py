@@ -27,7 +27,6 @@ from .automata import (
     compose_all,
     deterministic_isomorphic,
     language_upto,
-    sync_compose,
 )
 from .constraint import build_constraint_automaton
 from .estimation import desired_observer, determinize
@@ -133,19 +132,18 @@ def random_pair(spec: RandomSpec) -> tuple[Automaton, Automaton]:
 
 def check_observer_sync(a: Automaton, b: Automaton) -> bool:
     """Observer of a composition equals the composition of observers."""
-    left = determinize(sync_compose(a, b)).automaton
-    right = sync_compose(determinize(a).automaton, determinize(b).automaton)
+    left = determinize(compose_all([a, b])).automaton
+    right = compose_all([determinize(a).automaton, determinize(b).automaton])
     return deterministic_isomorphic(left, right)
 
 
 def check_desired_observer_sync(a: Automaton, b: Automaton) -> bool:
     """Desired observer of a composition equals the composition of the
     components' desired observers."""
-    left = desired_observer(determinize(sync_compose(a, b))).automaton
-    right = sync_compose(
-        desired_observer(determinize(a)).automaton,
-        desired_observer(determinize(b)).automaton,
-    ).trim_reachable()
+    left = desired_observer(determinize(compose_all([a, b]))).automaton
+    right = compose_all(
+        [desired_observer(determinize(a)).automaton, desired_observer(determinize(b)).automaton]
+    )
     if not left.states and not right.states:
         return True
     if bool(left.states) != bool(right.states):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .abstraction import AbstractionBundle, abstract_component
-from .automata import Automaton, InvalidAutomaton, State, Transition, _merge_events
+from .automata import Automaton, InvalidAutomaton, synchronous_product
 from .constraint import build_constraint_automaton
 from .tpo import Tpo, Y, build_largest_tpo
 from .transform import TransformedAutomaton, transform_modular
@@ -41,96 +41,15 @@ def product_plant(
     """Synchronous product of the component encodings and the constraint.
 
     Events move exactly the participants that declare them; the constraint
-    participates in every insert and erase decision.  Tuple states are named
-    ``(c1|c2|...|K:xj)`` and the reachable part is kept.
-
-    Each event is owned by the first part that declares it, and a state only
-    probes the events its owners enable from their local states, in sorted
-    name order.  An event its owner cannot take could never fire, so states
-    and transitions come out in the same order as probing every event would
-    give them.
+    participates in every insert and erase decision.  Every part must be
+    deterministic.  Tuple states are named ``(c1|c2|...|K:xj)`` and the
+    reachable part is kept (see ``automata.synchronous_product``).
     """
     parts = [comp.automaton for comp in components] + [spec]
-    events = _merge_events(parts)
-
-    initials = []
     for part in parts:
-        if not part.initial_states:
-            return ProductPlant(
-                automaton=Automaton(name=name, events=events, states=(), transitions=()),
-                tuple_map={},
-            )
-        initials.append(part.initial_states[0])
-
-    # Per event (by position in ``events``): its name and the parts that
-    # declare it.  Per part: for each local state, the events it owns and has
-    # a move on, as a bit mask over positions (bit k is ``events[k]``).  Masks
-    # keep this index small on large encodings; it is dropped on return.
-    names = [ev.name for ev in events]
-    position = {label: k for k, label in enumerate(names)}
-    participants: list[list[int]] = [[] for _ in events]
-    for i, part in enumerate(parts):
-        for ev in part.events:
-            participants[position[ev.name]].append(i)
-    enabled: list[dict[str, int]] = [{} for _ in parts]
-    for i, part in enumerate(parts):
-        owned = {names[k]: 1 << k for k in range(len(events)) if participants[k][0] == i}
-        masks = enabled[i]
-        for src, label, _ in part.transitions:
-            if label in owned:
-                masks[src] = masks.get(src, 0) | owned[label]
-
-    start = tuple(initials)
-    tuple_map: dict[str, tuple[str, ...]] = {}
-    index: dict[tuple[str, ...], str] = {}
-    order: list[tuple[str, ...]] = []
-    transitions: list[Transition] = []
-
-    def admit(parts_tuple: tuple[str, ...]) -> str:
-        if parts_tuple not in index:
-            label = _tuple_name(parts_tuple)
-            index[parts_tuple] = label
-            tuple_map[label] = parts_tuple
-            order.append(parts_tuple)
-        return index[parts_tuple]
-
-    admit(start)
-    queue = deque([start])
-    while queue:
-        here = queue.popleft()
-        src = index[here]
-        candidates = 0
-        for i, local in enumerate(here):
-            candidates |= enabled[i].get(local, 0)
-        while candidates:
-            lowest = candidates & -candidates
-            candidates ^= lowest
-            k = lowest.bit_length() - 1
-            label = names[k]
-            targets = list(here)
-            for i in participants[k]:
-                nxt = parts[i].successors(here[i], label)
-                if not nxt:
-                    break
-                if len(nxt) > 1:
-                    raise InvalidAutomaton(f"component {i} is nondeterministic on {label!r}")
-                targets[i] = nxt[0]
-            else:
-                nxt_tuple = tuple(targets)
-                if nxt_tuple not in index:
-                    queue.append(nxt_tuple)
-                transitions.append((src, label, admit(nxt_tuple)))
-
-    states = []
-    for parts_tuple in order:
-        label = index[parts_tuple]
-        marked = all(
-            part.state_map[parts_tuple[i]].marked for i, part in enumerate(parts)
-        )
-        states.append(
-            State(name=label, initial=(parts_tuple == start), marked=marked, secret=False)
-        )
-    automaton = Automaton(name=name, events=events, states=tuple(states), transitions=tuple(transitions))
+        if not part.is_deterministic:
+            raise InvalidAutomaton(f"product part {part.name!r} is not deterministic")
+    automaton, tuple_map = synchronous_product(parts, name, _tuple_name)
     return ProductPlant(automaton=automaton, tuple_map=tuple_map)
 
 
@@ -218,10 +137,9 @@ def supremal_controllable_nonblocking(
 
 @dataclass(frozen=True)
 class ModularEditStructure:
-    """Everything synthesis produces: the abstractions, the encoded
-    components, the constraint, the plant product and the supervisor."""
+    """Everything synthesis produces: the encoded components, the
+    constraint, the plant product and the supervisor."""
 
-    bundles: tuple[AbstractionBundle, ...]
     components: tuple[TransformedAutomaton, ...]
     constraint: Automaton
     plant: Automaton
@@ -287,7 +205,6 @@ def synthesize_modular_edit_structure(
     if not supervisor.states:
         diagnostics.append("no constrained edit function exists: empty supervisor")
     return ModularEditStructure(
-        bundles=bundles,
         components=components,
         constraint=constraint,
         plant=plant.automaton,

@@ -92,6 +92,12 @@ def test_parse_rejects_declared_tau():
         parse_automaton(json.dumps(doc))
 
 
+def test_parse_automaton_rejects_other_document_kinds(mono_tpo):
+    with pytest.raises(DocumentError) as err:
+        parse_automaton(serialize_document(transform_monolithic(mono_tpo)))
+    assert str(err.value).startswith("$.kind:")
+
+
 def test_parse_rejects_malformed_json():
     with pytest.raises(DocumentError):
         parse_document("{not json")
@@ -162,6 +168,18 @@ def test_cli_rejects_malformed_document(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["verify-opacity", "{enc}.0.json"], ["spec-k", "-k", "1", "--plant", "{enc}.0.json"]],
+)
+def test_cli_rejects_encoded_component_as_automaton(tmp_path, command):
+    enc = str(tmp_path / "enc")
+    assert runner().invoke(main, ["transform", G1, G2, "--modular", "-o", enc]).exit_code == 0
+    result = runner().invoke(main, [arg.format(enc=enc) for arg in command])
+    assert result.exit_code == 2
+    assert "$.kind" in result.output
+
+
 def test_cli_abstract_writes_bundle(tmp_path):
     prefix = str(tmp_path / "g1")
     result = runner().invoke(main, ["abstract", G1, "-o", prefix])
@@ -204,13 +222,8 @@ def test_cli_transform_augment_requires_modular():
     assert result.exit_code == 2
 
 
-def test_cli_spec_k(tmp_path):
-    enc = str(tmp_path / "enc")
-    runner().invoke(main, ["transform", G1, G2, "--modular", "-o", enc])
-    result = runner().invoke(
-        main,
-        ["spec-k", "-k", "1", "--plant", f"{enc}.0.json", "--plant", f"{enc}.1.json"],
-    )
+def test_cli_spec_k():
+    result = runner().invoke(main, ["spec-k", "-k", "1", "--plant", G1, "--plant", G2])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert [s["name"] for s in doc["states"]] == ["x1", "x2", "x3"]

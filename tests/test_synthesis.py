@@ -114,6 +114,21 @@ def test_product_tuple_map_tracks_components(structure):
         assert name.startswith("(") and name.endswith(")")
 
 
+def test_product_rejects_nondeterministic_part(structure):
+    spec = structure.constraint
+    src, label, dst = spec.transitions[0]
+    other = next(st.name for st in spec.states if st.name != dst)
+    branching = Automaton(
+        name="K-branching",
+        events=spec.events,
+        states=spec.states,
+        transitions=spec.transitions + ((src, label, other),),
+    )
+    with pytest.raises(InvalidAutomaton, match="K-branching"):
+        product_plant(structure.components, branching)
+    assert product_plant(structure.components, spec).automaton == structure.plant
+
+
 def test_monolithic_supervisor_matches_fixture_aes():
     from opacedit import demo_composed
     from opacedit.oracle import check_supervisor_equals_aes
