@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from operator import contains
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 TAU = "tau"
 EPSILON = "ε"
@@ -412,9 +412,9 @@ def language_upto(a: Automaton, depth: int) -> set[tuple[str, ...]]:
 
 
 def canonical_table(
-    initial: str | None,
-    edges: Mapping[str, Sequence[tuple[object, str]]],
-    flags: Mapping[str, tuple[bool, ...]],
+    initial: Hashable | None,
+    edges: Mapping[Hashable, Sequence[tuple[object, Hashable]]],
+    flags: Mapping[Hashable, tuple[bool, ...]],
 ) -> tuple:
     """Canonical form of a deterministic labeled graph, up to state renaming.
 

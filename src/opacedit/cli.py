@@ -23,7 +23,6 @@ from .documents import (
     parse_document,
     serialize_automaton,
     serialize_document,
-    tpo_to_dict,
 )
 from .dot import export_dot
 from .estimation import check_current_state_opacity
@@ -138,7 +137,7 @@ def tpo_command(file: str, output: str | None) -> None:
     """Build the largest three-player observer of one automaton."""
     g = _read(file, parse_automaton)
     t = largest_tpo(g, name=f"tpo({g.name})")
-    _write(json.dumps(tpo_to_dict(t), indent=2, ensure_ascii=False) + "\n", output)
+    _write(serialize_document(t), output)
 
 
 @main.command("transform")

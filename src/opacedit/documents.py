@@ -10,17 +10,18 @@ The automaton document has the shape
 with event flags defaulting to true, state flags to false, and "tau" legal on
 transitions but never under events.  Parsing and serialization are exact
 inverses: field order, list order and flags survive a round trip.  Other
-document kinds carry a "kind" field and embed automaton documents.
+document kinds carry a "kind" field; all but "tpo" embed automaton documents.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Any
 
 from .automata import Automaton, Event, InvalidAutomaton, State
 from .synthesis import ModularEditStructure
-from .tpo import Tpo, TpoState, TpoTransition
+from .tpo import KINDS, Tpo, TpoState, TpoTransition, state_names
 from .transform import TransformedAutomaton, decoration_table, parse_decorated
 
 KIND_TPO = "tpo"
@@ -62,9 +63,11 @@ def _expect_bool(value: Any, path: str, default: bool) -> bool:
     return value
 
 
-def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
-    doc = _expect_object(doc, path)
-    name = _expect_string(doc.get("name", "automaton"), f"{path}.name")
+def _optional_string(value: Any, path: str) -> str | None:
+    return None if value is None else _expect_string(value, path)
+
+
+def _events_from_dict(doc: dict, path: str) -> tuple[Event, ...]:
     events = []
     for i, entry in enumerate(_expect_list(doc.get("events", []), f"{path}.events")):
         here = f"{path}.events[{i}]"
@@ -76,6 +79,20 @@ def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
                 controllable=_expect_bool(entry.get("controllable"), f"{here}.controllable", True),
             )
         )
+    return tuple(events)
+
+
+def _events_to_list(events: tuple[Event, ...]) -> list[dict]:
+    return [
+        {"name": ev.name, "observable": ev.observable, "controllable": ev.controllable}
+        for ev in events
+    ]
+
+
+def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
+    doc = _expect_object(doc, path)
+    name = _expect_string(doc.get("name", "automaton"), f"{path}.name")
+    events = _events_from_dict(doc, path)
     states = []
     for i, entry in enumerate(_expect_list(doc.get("states", []), f"{path}.states")):
         here = f"{path}.states[{i}]"
@@ -89,7 +106,7 @@ def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
             )
         )
     transitions = []
-    state_names = {st.name for st in states}
+    declared = {st.name for st in states}
     event_names = {ev.name for ev in events}
     for i, entry in enumerate(_expect_list(doc.get("transitions", []), f"{path}.transitions")):
         here = f"{path}.transitions[{i}]"
@@ -99,9 +116,9 @@ def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
         src = _expect_string(entry[0], f"{here}[0]")
         label = _expect_string(entry[1], f"{here}[1]")
         dst = _expect_string(entry[2], f"{here}[2]")
-        if src not in state_names:
+        if src not in declared:
             _fail(f"{here}[0]", f"unknown state {src!r}")
-        if dst not in state_names:
+        if dst not in declared:
             _fail(f"{here}[2]", f"unknown state {dst!r}")
         if label != "tau" and label not in event_names:
             _fail(f"{here}[1]", f"undeclared event {label!r}")
@@ -109,7 +126,7 @@ def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
     try:
         return Automaton(
             name=name,
-            events=tuple(events),
+            events=events,
             states=tuple(states),
             transitions=tuple(transitions),
         )
@@ -120,10 +137,7 @@ def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
 def automaton_to_dict(a: Automaton) -> dict:
     return {
         "name": a.name,
-        "events": [
-            {"name": ev.name, "observable": ev.observable, "controllable": ev.controllable}
-            for ev in a.events
-        ],
+        "events": _events_to_list(a.events),
         "states": [
             {"name": st.name, "initial": st.initial, "marked": st.marked, "secret": st.secret}
             for st in a.states
@@ -159,45 +173,30 @@ def serialize_automaton(a: Automaton) -> str:
 
 
 def tpo_to_dict(t: Tpo) -> dict:
-    states = []
-    for st in t.states:
-        entry: dict[str, Any] = {"kind": st.kind, "x_d": st.x_d, "x_f": st.x_f}
-        if st.event is not None:
-            entry["event"] = st.event
-        if st.action is not None:
-            entry["action"] = st.action
-        if st.erased:
-            entry["erased"] = True
-        if st.count is not None:
-            entry["count"] = st.count
-        states.append(entry)
+    names = state_names(t.states)
+    # A state lists its fields in order, leaving out the unset ones.
+    states = [
+        {key: value for key, value in asdict(st).items() if value is not None and value is not False}
+        for st in t.states
+    ]
     return {
         "kind": KIND_TPO,
         "name": t.name,
-        "events": [
-            {"name": ev.name, "observable": ev.observable, "controllable": ev.controllable}
-            for ev in t.events
-        ],
+        "events": _events_to_list(t.events),
         "states": states,
-        "transitions": [[tr.source, tr.cls, tr.label, tr.target] for tr in t.transitions],
-        "initial": t.initial,
+        "transitions": [
+            [names[tr.source], tr.cls, tr.label, names[tr.target]] for tr in t.transitions
+        ],
+        "initial": None if t.initial is None else names[t.initial],
     }
 
 
 def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
+    """States are listed by their fields; transitions and ``initial`` cite a
+    state by the name ``state_names`` renders for it."""
     doc = _expect_object(doc, path)
     name = _expect_string(doc.get("name", "tpo"), f"{path}.name")
-    events = []
-    for i, entry in enumerate(_expect_list(doc.get("events", []), f"{path}.events")):
-        here = f"{path}.events[{i}]"
-        entry = _expect_object(entry, here)
-        events.append(
-            Event(
-                name=_expect_string(entry.get("name"), f"{here}.name"),
-                observable=_expect_bool(entry.get("observable"), f"{here}.observable", True),
-                controllable=_expect_bool(entry.get("controllable"), f"{here}.controllable", True),
-            )
-        )
+    events = _events_from_dict(doc, path)
     states = []
     for i, entry in enumerate(_expect_list(doc.get("states", []), f"{path}.states")):
         here = f"{path}.states[{i}]"
@@ -205,18 +204,25 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
         count = entry.get("count")
         if count is not None and not isinstance(count, int):
             _fail(f"{here}.count", f"expected an integer, got {count!r}")
+        kind = entry.get("kind")
+        if kind not in KINDS:
+            _fail(f"{here}.kind", f"expected one of {', '.join(KINDS)}, got {kind!r}")
         states.append(
             TpoState(
-                kind=_expect_string(entry.get("kind"), f"{here}.kind"),
+                kind=kind,
                 x_d=_expect_string(entry.get("x_d"), f"{here}.x_d"),
                 x_f=_expect_string(entry.get("x_f"), f"{here}.x_f"),
-                event=entry.get("event"),
-                action=entry.get("action"),
+                event=_optional_string(entry.get("event"), f"{here}.event"),
+                action=_optional_string(entry.get("action"), f"{here}.action"),
                 erased=_expect_bool(entry.get("erased"), f"{here}.erased", False),
                 count=count,
             )
         )
-    names = {st.name for st in states}
+    try:
+        names = state_names(states)
+    except InvalidAutomaton as err:
+        raise DocumentError(f"{path}.states: {err}") from err
+    by_name = {rendered: st for st, rendered in names.items()}
     transitions = []
     for i, entry in enumerate(_expect_list(doc.get("transitions", []), f"{path}.transitions")):
         here = f"{path}.transitions[{i}]"
@@ -226,20 +232,20 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
         src, cls, label, dst = (
             _expect_string(entry[j], f"{here}[{j}]") for j in range(4)
         )
-        if src not in names:
+        if src not in by_name:
             _fail(f"{here}[0]", f"unknown state {src!r}")
-        if dst not in names:
+        if dst not in by_name:
             _fail(f"{here}[3]", f"unknown state {dst!r}")
-        transitions.append(TpoTransition(source=src, cls=cls, label=label, target=dst))
+        transitions.append(TpoTransition(by_name[src], cls, label, by_name[dst]))
     initial = doc.get("initial")
-    if initial is not None and initial not in names:
+    if initial is not None and initial not in by_name:
         _fail(f"{path}.initial", f"unknown state {initial!r}")
     return Tpo(
         name=name,
-        events=tuple(events),
+        events=events,
         states=tuple(states),
         transitions=tuple(transitions),
-        initial=initial,
+        initial=None if initial is None else by_name[initial],
     )
 
 

@@ -12,7 +12,7 @@ from typing import Mapping
 
 from .automata import Automaton
 from .synthesis import ModularEditStructure
-from .tpo import Tpo, W, Y, Z
+from .tpo import Tpo, W, Y, Z, state_names
 from .transform import TransformedAutomaton
 
 _SHAPES = {Y: "box", Z: "ellipse", W: "diamond"}
@@ -73,14 +73,16 @@ def export_dot(x: Automaton | Tpo | TransformedAutomaton | ModularEditStructure)
     if isinstance(x, Automaton):
         return _wrap(x.name, _automaton_body(x))
     if isinstance(x, Tpo):
+        names = state_names(x.states)
         lines = []
         for st in x.states:
-            lines.append(_node_line(st.name, shape=_SHAPES[st.kind]))
+            lines.append(_node_line(names[st], shape=_SHAPES[st.kind]))
         if x.initial is not None:
             lines.append('  "__start0" [shape=point, style=invis];')
-            lines.append(f'  "__start0" -> {_quote(x.initial)};')
+            lines.append(f'  "__start0" -> {_quote(names[x.initial])};')
         for tr in x.transitions:
-            lines.append(f"  {_quote(tr.source)} -> {_quote(tr.target)} [label={_quote(tr.label)}];")
+            source, target = names[tr.source], names[tr.target]
+            lines.append(f"  {_quote(source)} -> {_quote(target)} [label={_quote(tr.label)}];")
         return _wrap(x.name, lines)
     if isinstance(x, TransformedAutomaton):
         shapes = {name: _SHAPES[kind] for name, kind in x.origins.items()}

@@ -37,7 +37,7 @@ from .synthesis import (
     supremal_controllable_nonblocking,
     synthesize_modular_edit_structure,
 )
-from .tpo import Tpo, build_largest_tpo, largest_tpo, prune_to_aes
+from .tpo import Tpo, TpoState, build_largest_tpo, largest_tpo, prune_to_aes
 from .transform import (
     DELIVER,
     DELIVER_ERASED,
@@ -151,8 +151,8 @@ def check_desired_observer_sync(a: Automaton, b: Automaton) -> bool:
     return deterministic_isomorphic(left, right)
 
 
-def _tpo_edge_table(t: Tpo) -> dict[str, dict[tuple[str, str], str]]:
-    table: dict[str, dict[tuple[str, str], str]] = {st.name: {} for st in t.states}
+def _tpo_edge_table(t: Tpo) -> dict[TpoState, dict[tuple[str, str], TpoState]]:
+    table: dict[TpoState, dict[tuple[str, str], TpoState]] = {st: {} for st in t.states}
     for tr in t.transitions:
         table[tr.source][(tr.cls, tr.label)] = tr.target
     return table
@@ -169,14 +169,12 @@ def tpo_bisimilar(a: Tpo, b: Tpo) -> bool:
     if a.initial is None:
         return True
     edges_a, edges_b = _tpo_edge_table(a), _tpo_edge_table(b)
-    kinds_a = {st.name: st.kind for st in a.states}
-    kinds_b = {st.name: st.kind for st in b.states}
     start = (a.initial, b.initial)
     seen = {start}
     queue = deque([start])
     while queue:
         x, y = queue.popleft()
-        if kinds_a[x] != kinds_b[y]:
+        if x.kind != y.kind:
             return False
         out_a, out_b = edges_a[x], edges_b[y]
         if set(out_a) != set(out_b):
@@ -213,10 +211,10 @@ def _aes_canonical(aes: Tpo) -> tuple:
     # TPO transition labels already coincide with the renamed run labels of
     # the decorated events (stop carries the empty symbol, erasures their
     # erasure symbol), so (class, label) needs no translation.
-    edges: dict[str, list[tuple[tuple[str, str], str]]] = {st.name: [] for st in aes.states}
+    edges: dict[TpoState, list[tuple[tuple[str, str], TpoState]]] = {st: [] for st in aes.states}
     for tr in aes.transitions:
         edges[tr.source].append(((tr.cls, tr.label), tr.target))
-    flags = {st.name: () for st in aes.states}
+    flags = {st: () for st in aes.states}
     return canonical_table(aes.initial, edges, flags)
 
 
@@ -249,7 +247,7 @@ def check_modular_inclusion(
         return True, ()
     product = compose_all([comp.automaton for comp in components])
     mono = largest_tpo(compose_all(systems))
-    mono_edges: dict[tuple[str, tuple[str, str]], str] = {}
+    mono_edges: dict[tuple[TpoState, tuple[str, str]], TpoState] = {}
     for tr in mono.transitions:
         mono_edges[(tr.source, (tr.cls, tr.label))] = tr.target
 
@@ -258,7 +256,7 @@ def check_modular_inclusion(
         return True, ()
     start = (product.initial_states[0], mono.initial)
     seen = {start}
-    queue: deque[tuple[tuple[str, str], tuple[str, ...], int]] = deque([(start, (), 0)])
+    queue: deque[tuple[tuple[str, TpoState], tuple[str, ...], int]] = deque([(start, (), 0)])
     while queue:
         (p_state, t_state), trace, used = queue.popleft()
         if used == depth:

@@ -17,18 +17,23 @@ stop decision does not), then repeatedly removes dead ends: Z states with no
 decision, W states with no delivery, and Y states one of whose system events
 leads into a removed Z state.  Y states with no outgoing transition are legal:
 the system may simply have nothing left to say.
+
+A state is its ``TpoState`` value: transitions, the initial state and every
+table in this module hold the values themselves.  Names are rendered only at
+the boundary, by ``state_names``, for documents, DOT and the encoding.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
-from .automata import EPSILON, Automaton, Event, erasure_symbol, language_upto
+from .automata import EPSILON, Automaton, Event, InvalidAutomaton, erasure_symbol, language_upto
 from .estimation import Observer, desired_observer, determinize
 
 Y, Z, W = "Y", "Z", "W"
+KINDS = (Y, Z, W)
 YZ, ZZ, ZW1, ZW2, WY1, WY2 = "yz", "zz", "zw1", "zw2", "wy1", "wy2"
 
 
@@ -57,30 +62,47 @@ class TpoState:
         return core
 
 
+def state_names(states: Iterable[TpoState]) -> dict[TpoState, str]:
+    """The rendered name of each state, computed once.  Two states that render
+    alike (events named ``a`` and ``a!``, say) could not be told apart in a
+    document or an encoding, so they are an error, not a silent merge."""
+    names: dict[TpoState, str] = {}
+    rendered: set[str] = set()
+    for st in states:
+        name = st.name
+        if name in rendered:
+            raise InvalidAutomaton(
+                f"two TPO states are both named {name!r}: event names such as"
+                " 'a!' or 'a→ε' beside 'a' make game states read alike"
+            )
+        rendered.add(name)
+        names[st] = name
+    return names
+
+
 @dataclass(frozen=True)
 class TpoTransition:
-    source: str
+    source: TpoState
     cls: str
     label: str
-    target: str
+    target: TpoState
 
 
 @dataclass(frozen=True)
 class Tpo:
     """An explicit TPO graph.  ``events`` is the observable alphabet it plays
-    over; state names key the transition relation."""
+    over.  Each state is identified by its ``TpoState`` value, which the
+    transitions and ``initial`` hold directly; ``state_names`` renders names
+    for the boundary."""
 
     name: str
     events: tuple[Event, ...]
     states: tuple[TpoState, ...]
     transitions: tuple[TpoTransition, ...]
-    initial: str | None
+    initial: TpoState | None
 
-    def state_map(self) -> dict[str, TpoState]:
-        return {st.name: st for st in self.states}
-
-    def outgoing(self) -> dict[str, list[TpoTransition]]:
-        table: dict[str, list[TpoTransition]] = {st.name: [] for st in self.states}
+    def outgoing(self) -> dict[TpoState, list[TpoTransition]]:
+        table: dict[TpoState, list[TpoTransition]] = {st: [] for st in self.states}
         for tr in self.transitions:
             table[tr.source].append(tr)
         return table
@@ -115,16 +137,16 @@ def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
         return targets[0] if targets else None
 
     observable = sorted(ev.name for ev in det_f.events if ev.observable)
-    states: dict[str, TpoState] = {}
+    # Each state maps to its first instance, so that transitions share it.
+    states: dict[TpoState, TpoState] = {}
     transitions: list[TpoTransition] = []
     queue: deque[TpoState] = deque()
 
     def admit(state: TpoState) -> TpoState:
-        known = states.get(state.name)
+        known = states.get(state)
         if known is None:
-            states[state.name] = state
+            states[state] = known = state
             queue.append(state)
-            return state
         return known
 
     y0 = admit(TpoState(kind=Y, x_d=x_d0, x_f=obs.initial))
@@ -136,7 +158,7 @@ def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
                 if nxt_f is None:
                     continue
                 z = admit(TpoState(kind=Z, x_d=here.x_d, x_f=here.x_f, event=event))
-                transitions.append(TpoTransition(here.name, YZ, event, z.name))
+                transitions.append(TpoTransition(here, YZ, event, z))
         elif here.kind == Z:
             pending = here.event
             for theta in observable:
@@ -144,33 +166,33 @@ def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
                 if nxt_d is None:
                     continue
                 z = admit(TpoState(kind=Z, x_d=nxt_d, x_f=here.x_f, event=pending))
-                transitions.append(TpoTransition(here.name, ZZ, theta, z.name))
+                transitions.append(TpoTransition(here, ZZ, theta, z))
             if d_succ(here.x_d, pending) is not None and f_succ(here.x_f, pending) is not None:
                 w = admit(TpoState(kind=W, x_d=here.x_d, x_f=here.x_f, action=pending))
-                transitions.append(TpoTransition(here.name, ZW1, EPSILON, w.name))
+                transitions.append(TpoTransition(here, ZW1, EPSILON, w))
             if f_succ(here.x_f, pending) is not None:
                 w = admit(
                     TpoState(kind=W, x_d=here.x_d, x_f=here.x_f, action=pending, erased=True)
                 )
-                transitions.append(TpoTransition(here.name, ZW2, erasure_symbol(pending), w.name))
+                transitions.append(TpoTransition(here, ZW2, erasure_symbol(pending), w))
         else:
             event = here.action
             nxt_f = f_succ(here.x_f, event)
             if here.erased:
                 if nxt_f is not None:
                     y = admit(TpoState(kind=Y, x_d=here.x_d, x_f=nxt_f))
-                    transitions.append(TpoTransition(here.name, WY2, event, y.name))
+                    transitions.append(TpoTransition(here, WY2, event, y))
             else:
                 nxt_d = d_succ(here.x_d, event)
                 if nxt_d is not None and nxt_f is not None:
                     y = admit(TpoState(kind=Y, x_d=nxt_d, x_f=nxt_f))
-                    transitions.append(TpoTransition(here.name, WY1, event, y.name))
+                    transitions.append(TpoTransition(here, WY1, event, y))
     return Tpo(
         name=name,
         events=det_f.events,
-        states=tuple(states.values()),
+        states=tuple(states),
         transitions=tuple(transitions),
-        initial=y0.name,
+        initial=y0,
     )
 
 
@@ -180,7 +202,7 @@ class Run:
     entry than ``steps``."""
 
     tpo: Tpo
-    states: tuple[str, ...]
+    states: tuple[TpoState, ...]
     steps: tuple[TpoTransition, ...]
 
     def __post_init__(self) -> None:
@@ -188,13 +210,11 @@ class Run:
             raise ValueError("run must start at the initial state")
         if len(self.states) != len(self.steps) + 1:
             raise ValueError("run shape mismatch")
-        edges = {
-            (tr.source, tr.cls, tr.label, tr.target) for tr in self.tpo.transitions
-        }
+        edges = set(self.tpo.transitions)
         for i, tr in enumerate(self.steps):
             if tr.source != self.states[i] or tr.target != self.states[i + 1]:
                 raise ValueError(f"step {i} does not connect its endpoints")
-            if (tr.source, tr.cls, tr.label, tr.target) not in edges:
+            if tr not in edges:
                 raise ValueError(f"step {i} is not a transition of the host")
 
 
@@ -215,19 +235,19 @@ def edit_projection(run: Run) -> tuple[str, ...]:
     return tuple(tr.label for tr in run.steps if tr.cls == YZ)
 
 
-def iter_runs(t: Tpo, max_events: int, simple_chains: bool = True) -> Iterator[Run]:
+def iter_runs(t: Tpo, max_events: int) -> Iterator[Run]:
     """Every run with at most ``max_events`` system events, depth first.
 
-    With ``simple_chains`` insertion chains never revisit a Z state between
-    two system events, which keeps the enumeration finite in the presence of
-    insertion cycles while still covering every edge.
+    Insertion chains never revisit a Z state between two system events,
+    which keeps the enumeration finite in the presence of insertion cycles
+    while still covering every edge.
     """
     if t.initial is None:
         return
     outgoing = t.outgoing()
 
     def walk(
-        state: str, states: tuple[str, ...], steps: tuple[TpoTransition, ...], events: int, chain: frozenset[str]
+        state: TpoState, states: tuple[TpoState, ...], steps: tuple[TpoTransition, ...], events: int, chain: frozenset[TpoState]
     ) -> Iterator[Run]:
         yield Run(tpo=t, states=states, steps=steps)
         for tr in outgoing[state]:
@@ -236,7 +256,7 @@ def iter_runs(t: Tpo, max_events: int, simple_chains: bool = True) -> Iterator[R
                     continue
                 yield from walk(tr.target, states + (tr.target,), steps + (tr,), events + 1, frozenset({tr.target}))
             elif tr.cls == ZZ:
-                if simple_chains and tr.target in chain:
+                if tr.target in chain:
                     continue
                 yield from walk(tr.target, states + (tr.target,), steps + (tr,), events, chain | {tr.target})
             else:
@@ -254,22 +274,21 @@ def check_complete(t: Tpo, g: Automaton, depth: int) -> bool:
     runs.
     """
     outgoing = t.outgoing()
-    state_map = t.state_map()
     for st in t.states:
-        if st.kind in (Z, W) and not outgoing[st.name]:
+        if st.kind in (Z, W) and not outgoing[st]:
             return False
     if t.initial is None:
         return not language_upto(g, depth) - {()}
 
     # Y-level step relation: y -e-> y' iff some decision chain completes e.
-    segment: dict[tuple[str, str], set[str]] = {}
+    segment: dict[tuple[TpoState, str], set[TpoState]] = {}
     for st in t.states:
         if st.kind != Y:
             continue
-        for tr in outgoing[st.name]:
+        for tr in outgoing[st]:
             seen_z = set()
             frontier = [tr.target]
-            targets: set[str] = set()
+            targets: set[TpoState] = set()
             while frontier:
                 here = frontier.pop()
                 if here in seen_z:
@@ -281,19 +300,17 @@ def check_complete(t: Tpo, g: Automaton, depth: int) -> bool:
                     elif step.cls in (ZW1, ZW2):
                         for deliver in outgoing[step.target]:
                             targets.add(deliver.target)
-            segment[(st.name, tr.label)] = targets
+            segment[(st, tr.label)] = targets
 
     silent_language = language_upto(g, depth)
-    by_prefix: dict[tuple[str, ...], set[str]] = {(): {t.initial}}
+    by_prefix: dict[tuple[str, ...], set[TpoState]] = {(): {t.initial}}
     queue = deque([()])
     while queue:
         prefix = queue.popleft()
         ys = by_prefix[prefix]
         extensions = {s[len(prefix)] for s in silent_language if len(s) > len(prefix) and s[: len(prefix)] == prefix}
         for event in extensions:
-            nxt: set[str] = set()
-            for y in ys:
-                nxt |= segment.get((y, event), set())
+            nxt: set[TpoState] = set().union(*(segment.get((y, event), ()) for y in ys))
             if not nxt:
                 return False
             extended = prefix + (event,)
@@ -314,42 +331,23 @@ def constrain_erasures(t: Tpo, max_erasures: int) -> Tpo:
     """
     if t.initial is None:
         return Tpo(name=f"{t.name}|k={max_erasures}", events=t.events, states=(), transitions=(), initial=None)
-    state_map = t.state_map()
     outgoing = t.outgoing()
-    states: dict[str, TpoState] = {}
+    states: dict[TpoState, TpoState] = {}
     transitions: list[TpoTransition] = []
     queue: deque[TpoState] = deque()
 
     def admit(base: TpoState, count: int) -> TpoState:
-        annotated = TpoState(
-            kind=base.kind,
-            x_d=base.x_d,
-            x_f=base.x_f,
-            event=base.event,
-            action=base.action,
-            erased=base.erased,
-            count=count,
-        )
-        if annotated.name not in states:
-            states[annotated.name] = annotated
+        annotated = replace(base, count=count)
+        known = states.get(annotated)
+        if known is None:
+            states[annotated] = known = annotated
             queue.append(annotated)
-        return states[annotated.name]
+        return known
 
-    start = admit(state_map[t.initial], 0)
+    start = admit(t.initial, 0)
     while queue:
         here = queue.popleft()
-        base = state_map[
-            TpoState(
-                kind=here.kind,
-                x_d=here.x_d,
-                x_f=here.x_f,
-                event=here.event,
-                action=here.action,
-                erased=here.erased,
-            ).name
-        ]
-        for tr in outgoing[base.name]:
-            target = state_map[tr.target]
+        for tr in outgoing[replace(here, count=None)]:
             if tr.cls == ZZ:
                 count = 0
             elif tr.cls == ZW2:
@@ -358,14 +356,14 @@ def constrain_erasures(t: Tpo, max_erasures: int) -> Tpo:
                 count = here.count + 1
             else:
                 count = here.count
-            nxt = admit(target, count)
-            transitions.append(TpoTransition(here.name, tr.cls, tr.label, nxt.name))
+            nxt = admit(tr.target, count)
+            transitions.append(TpoTransition(here, tr.cls, tr.label, nxt))
     return Tpo(
         name=f"{t.name}|k={max_erasures}",
         events=t.events,
-        states=tuple(states.values()),
+        states=tuple(states),
         transitions=tuple(transitions),
-        initial=start.name,
+        initial=start,
     )
 
 
@@ -379,51 +377,47 @@ def prune_to_aes(t: Tpo, max_erasures: int) -> Tpo:
     result means opacity cannot be enforced under the bound.
     """
     annotated = constrain_erasures(t, max_erasures)
-    state_map = annotated.state_map()
-    alive = {st.name for st in annotated.states}
+    alive = set(annotated.states)
     while True:
-        outgoing: dict[str, list[TpoTransition]] = {name: [] for name in alive}
-        incoming: dict[str, list[str]] = {name: [] for name in alive}
+        outgoing: dict[TpoState, list[TpoTransition]] = {st: [] for st in alive}
+        incoming: dict[TpoState, list[TpoState]] = {st: [] for st in alive}
         for tr in annotated.transitions:
             if tr.source in alive and tr.target in alive:
                 outgoing[tr.source].append(tr)
                 incoming[tr.target].append(tr.source)
-        coaccessible = {name for name in alive if state_map[name].kind == Y}
+        coaccessible = {st for st in alive if st.kind == Y}
         frontier = deque(coaccessible)
         while frontier:
-            name = frontier.popleft()
-            for src in incoming[name]:
+            here = frontier.popleft()
+            for src in incoming[here]:
                 if src not in coaccessible:
                     coaccessible.add(src)
                     frontier.append(src)
         doomed = alive - coaccessible
-        for name in alive:
-            st = state_map[name]
+        for st in alive:
             if st.kind == Y:
-                for tr in outgoing[name]:
+                for tr in outgoing[st]:
                     if tr.cls == YZ and tr.target in doomed:
-                        doomed.add(name)
+                        doomed.add(st)
                         break
         if not doomed:
             break
         alive -= doomed
     if annotated.initial not in alive:
         return Tpo(name=f"{t.name}|aes", events=t.events, states=(), transitions=(), initial=None)
-    reachable: set[str] = set()
+    reachable = {annotated.initial}
     queue = deque([annotated.initial])
-    reachable.add(annotated.initial)
-    edges = [tr for tr in annotated.transitions if tr.source in alive and tr.target in alive]
-    adjacency: dict[str, list[TpoTransition]] = {}
-    for tr in edges:
-        adjacency.setdefault(tr.source, []).append(tr)
+    # The last pass removed nothing, so ``outgoing`` is the alive graph.
     while queue:
         here = queue.popleft()
-        for tr in adjacency.get(here, []):
+        for tr in outgoing[here]:
             if tr.target not in reachable:
                 reachable.add(tr.target)
                 queue.append(tr.target)
-    states = tuple(st for st in annotated.states if st.name in reachable)
-    transitions = tuple(tr for tr in edges if tr.source in reachable and tr.target in reachable)
+    states = tuple(st for st in annotated.states if st in reachable)
+    transitions = tuple(
+        tr for tr in annotated.transitions if tr.source in reachable and tr.target in reachable
+    )
     return Tpo(
         name=f"{t.name}|aes",
         events=t.events,

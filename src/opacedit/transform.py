@@ -41,7 +41,7 @@ from .automata import (
     Transition,
     erasure_symbol,
 )
-from .tpo import Tpo, TpoTransition, W, Y, YZ, Z, ZW1, ZW2, ZZ, WY1, WY2
+from .tpo import Tpo, TpoTransition, W, Y, YZ, Z, ZW1, ZW2, ZZ, WY1, WY2, state_names
 
 SYSTEM = "system"
 INSERT = "insert"
@@ -216,7 +216,7 @@ def transform_modular(
             raise InvalidAutomaton(f"component {i}: TPO alphabet not covered by declared alphabet")
     results = []
     for i, t in enumerate(ts):
-        state_map = t.state_map()
+        rendered = state_names(t.states)
         contexts = sorted({st.event for st in t.states if st.kind == Z})
         alphabet = sorted(ev.name for ev in t.events if ev.observable)
         decorations: dict[str, DecoratedEvent] = {}
@@ -233,13 +233,13 @@ def transform_modular(
                 decorations[dec.name] = dec
         transitions: list[Transition] = []
         for tr in t.transitions:
-            pending = state_map[tr.source].event if state_map[tr.source].kind == Z else None
+            pending = tr.source.event if tr.source.kind == Z else None
             dec = _decorate(tr, pending)
             label = dec.name
             decorations[label] = dec
-            transitions.append((tr.source, label, tr.target))
+            transitions.append((rendered[tr.source], label, rendered[tr.target]))
         states = tuple(
-            State(name=st.name, initial=(st.name == t.initial), marked=(st.kind == Y), secret=False)
+            State(name=rendered[st], initial=(st == t.initial), marked=(st.kind == Y), secret=False)
             for st in t.states
         )
 
@@ -271,7 +271,7 @@ def transform_modular(
         )
         if not automaton.is_deterministic:
             raise InvalidAutomaton("transformed TPO is not deterministic")
-        origins = {st.name: st.kind for st in t.states}
+        origins = {rendered[st]: st.kind for st in t.states}
         results.append(TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations))
     return tuple(results)
 
@@ -290,8 +290,8 @@ def augment_missing_insertions(
     encodings of ``tpos``; each tuple starts with one state per TPO, and
     further parts (the constraint) are carried along unchanged.  ``bundles``
     are the components' abstraction bundles, whose desired observers advance
-    the intruder estimates.  Each component state is read as the ``TpoState``
-    of that name.
+    the intruder estimates.  Each component state name in ``tuple_map`` is
+    read back as the ``TpoState`` that ``state_names`` rendered to it.
 
     For a product state whose components are all at Y or Z origins with a
     pending context available, an event ``sigma`` may be inserted when every
@@ -303,8 +303,9 @@ def augment_missing_insertions(
     observers = [bundle.h_obd.automaton for bundle in bundles]
     knows = [{ev.name for ev in bundle.component.events} for bundle in bundles]
     all_events = sorted(set().union(*knows))
-    tpo_states = [t.state_map() for t in tpos]
-    y_index = [{(st.x_d, st.x_f): st.name for st in t.states if st.kind == Y} for t in tpos]
+    names = [state_names(t.states) for t in tpos]
+    tpo_states = [{name: st for st, name in table.items()} for table in names]
+    y_index = [{(st.x_d, st.x_f): name for st, name in table.items() if st.kind == Y} for table in names]
     product_index = {parts: label for label, parts in tuple_map.items()}
     n = len(tpos)
 

@@ -123,7 +123,7 @@ def test_criterion_01_fixture_synthesis_prunes_unsafe_region():
                 if pair not in seen:
                     seen.add(pair)
                     queue.append(pair)
-        assert not set(FORBIDDEN) & image
+        assert not set(FORBIDDEN) & {st.name for st in image}
 
 
 def test_criterion_02_interactive_narrative(structure):

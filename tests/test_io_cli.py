@@ -10,15 +10,20 @@ from hypothesis import strategies as st
 
 import opacedit.cli as cli_module
 from opacedit import (
+    Automaton,
     DocumentError,
+    Event,
+    State,
     RandomSpec,
     build_largest_tpo,
     demo_g1,
     desired_observer,
     determinize,
     export_dot,
+    largest_tpo,
     parse_automaton,
     parse_document,
+    prune_to_aes,
     random_system,
     serialize_automaton,
     serialize_document,
@@ -46,6 +51,15 @@ def test_tpo_document_round_trip(mono_tpo):
     loaded = parse_document(text)
     assert loaded == mono_tpo
     assert serialize_document(loaded) == text
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_count_annotated_tpo_document_round_trip(mono_tpo, budget):
+    annotated = prune_to_aes(mono_tpo, budget)
+    assert any(st.count == 0 for st in annotated.states)
+    text = serialize_document(annotated)
+    assert parse_document(text) == annotated
+    assert '"count": 0' in text
 
 
 def test_transformed_document_round_trip(mono_tpo):
@@ -340,6 +354,93 @@ def test_cli_export_dot_reports_malformed_decorated_name(tmp_path, mono_tpo):
     assert isinstance(result.exception, SystemExit)
     [line] = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert f"$.automaton.events[{index}].name: malformed decorated event 'ins:x'" in line
+
+
+def _game_collision_component(second):
+    # with ``second`` named ``a!`` or ``a→ε`` a decision state over ``a``
+    # renders like the state where ``second`` is pending
+    return Automaton(
+        name="G",
+        events=(Event("a"), Event(second)),
+        states=(State("q0", initial=True), State("q1", secret=True), State("q2"), State("q3")),
+        transitions=(("q0", "a", "q2"), ("q0", second, "q3"), ("q2", "a", "q1"), ("q3", "a", "q2")),
+    )
+
+
+@pytest.mark.parametrize("second", ["a!", "a→ε"])
+def test_largest_tpo_does_not_merge_states_that_render_alike(second):
+    reference = largest_tpo(_game_collision_component("b"))
+    t = largest_tpo(_game_collision_component(second))
+    assert (len(reference.states), len(reference.transitions)) == (41, 58)
+    assert (len(t.states), len(t.transitions)) == (41, 58)
+
+
+@pytest.mark.parametrize("second", ["a!", "a→ε"])
+@pytest.mark.parametrize(
+    "command",
+    [["synthesize", "-k", "1", "{doc}"], ["transform", "{doc}"], ["tpo", "{doc}"]],
+    ids=["synthesize", "transform", "tpo"],
+)
+def test_cli_rejects_event_names_that_make_game_states_collide(tmp_path, second, command):
+    g = _game_collision_component(second)
+    names = [st.name for st in largest_tpo(g).states]
+    shared = {name for name in names if names.count(name) > 1}
+    path = tmp_path / "collide.json"
+    path.write_text(serialize_automaton(g), encoding="utf-8")
+    result = runner().invoke(main, [arg.format(doc=path) for arg in command])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: ")
+    assert any(repr(name) in line for name in shared), line
+
+
+def _set_unknown_kind(doc):
+    doc["states"][0]["kind"] = "Q"
+    return "$.states[0].kind"
+
+
+def _set_numeric_event(doc):
+    index = next(i for i, st in enumerate(doc["states"]) if "event" in st)
+    doc["states"][index]["event"] = 7
+    return f"$.states[{index}].event"
+
+
+def _set_numeric_action(doc):
+    index = next(i for i, st in enumerate(doc["states"]) if "action" in st)
+    doc["states"][index]["action"] = ["a"]
+    return f"$.states[{index}].action"
+
+
+def _repeat_first_state(doc):
+    doc["states"].append(dict(doc["states"][0]))
+    return "$.states: two TPO states"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_set_unknown_kind, _set_numeric_event, _set_numeric_action, _repeat_first_state],
+    ids=["kind", "event", "action", "collision"],
+)
+def test_cli_export_dot_rejects_invalid_tpo_document(tmp_path, edit):
+    result = runner().invoke(main, ["tpo", G1])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    where = edit(doc)
+    path = tmp_path / "tpo.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    result = runner().invoke(main, ["export-dot", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    [line] = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert where in line
+
+
+def test_tpo_document_cites_states_by_rendered_name(mono_tpo):
+    doc = json.loads(serialize_document(mono_tpo))
+    assert doc["initial"] == mono_tpo.initial.name
+    assert doc["transitions"][0][0] == mono_tpo.transitions[0].source.name
+    assert parse_document(json.dumps(doc)).initial == mono_tpo.initial
 
 
 def _structure_file(tmp_path, edit):

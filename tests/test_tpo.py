@@ -1,9 +1,12 @@
 """Three-player observers: construction, runs, the erasure bound, pruning."""
 
+from dataclasses import replace
+
 import pytest
 
 from opacedit import (
     Run,
+    TpoState,
     build_largest_tpo,
     check_complete,
     constrain_erasures,
@@ -24,19 +27,19 @@ E = "{(q3,s3)}"
 
 
 def y(xd, xf):
-    return f"({xd},{xf})"
+    return TpoState(kind="Y", x_d=xd, x_f=xf)
 
 
 def z(xd, xf, e):
-    return f"(({xd},{xf}),{e})"
+    return TpoState(kind="Z", x_d=xd, x_f=xf, event=e)
 
 
 def w_erased(xd, xf, e):
-    return f"(({xd},{xf}),{e}→ε)"
+    return TpoState(kind="W", x_d=xd, x_f=xf, action=e, erased=True)
 
 
 def w_commit(xd, xf, e):
-    return f"(({xd},{xf}),{e}!)"
+    return TpoState(kind="W", x_d=xd, x_f=xf, action=e)
 
 
 def test_initial_state_pairs_both_estimates(mono_tpo):
@@ -44,9 +47,8 @@ def test_initial_state_pairs_both_estimates(mono_tpo):
 
 
 def test_kind_layers_alternate(mono_tpo):
-    states = mono_tpo.state_map()
     for tr in mono_tpo.transitions:
-        src, dst = states[tr.source], states[tr.target]
+        src, dst = tr.source, tr.target
         if tr.cls == "yz":
             assert (src.kind, dst.kind) == ("Y", "Z")
         elif tr.cls == "zz":
@@ -59,26 +61,24 @@ def test_kind_layers_alternate(mono_tpo):
 
 def test_insertion_moves_intruder_estimate_only(mono_tpo, composed):
     obsd = desired_observer(determinize(composed))
-    states = mono_tpo.state_map()
     for tr in mono_tpo.transitions:
         if tr.cls == "zz":
-            src, dst = states[tr.source], states[tr.target]
+            src, dst = tr.source, tr.target
             assert src.x_f == dst.x_f
             assert src.event == dst.event
             assert obsd.automaton.successors(src.x_d, tr.label) == (dst.x_d,)
 
 
 def test_erasure_keeps_intruder_estimate(mono_tpo):
-    states = mono_tpo.state_map()
     for tr in mono_tpo.transitions:
         if tr.cls == "zw2":
-            src, dst = states[tr.source], states[tr.target]
+            src, dst = tr.source, tr.target
             assert dst.erased
             assert src.x_d == dst.x_d
 
 
 def test_commit_and_erased_w_states_are_distinct(mono_tpo):
-    names = set(mono_tpo.state_map())
+    names = set(mono_tpo.states)
     assert z(A, C, "beta") in names
     assert w_commit(A, C, "beta") in names
     assert w_erased(A, C, "beta") in names
@@ -148,9 +148,8 @@ def test_iter_runs_yields_prefix_closed_runs(mono_tpo):
 
 def test_constrain_erasures_counts_reset_on_insert(mono_tpo):
     annotated = constrain_erasures(mono_tpo, 1)
-    states = annotated.state_map()
     for tr in annotated.transitions:
-        src, dst = states[tr.source], states[tr.target]
+        src, dst = tr.source, tr.target
         if tr.cls == "zz":
             assert dst.count == 0
         elif tr.cls == "zw2":
@@ -167,7 +166,7 @@ def test_constrain_erasures_zero_budget_blocks_all_erasures(mono_tpo):
 
 def test_prune_to_aes_reference_removals(mono_tpo):
     aes = prune_to_aes(mono_tpo, 1)
-    bases = {st.name.rsplit("#", 1)[0] for st in aes.states}
+    bases = {replace(st, count=None) for st in aes.states}
     removed = [
         y(A, D),
         y(B, E),
@@ -192,8 +191,8 @@ def test_prune_to_aes_drops_decision_cycles_without_exit():
     t = build_largest_tpo(desired_observer(obs), obs)
     aes = prune_to_aes(t, 0)
     out = aes.outgoing()
-    states = aes.state_map()
-    coacc = {n for n, s in states.items() if s.kind == "Y"}
+    states = aes.states
+    coacc = {s for s in states if s.kind == "Y"}
     changed = True
     while changed:
         changed = False

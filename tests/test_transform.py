@@ -29,7 +29,7 @@ from opacedit.cli import main
 from opacedit.documents import serialize_automaton
 from opacedit.oracle import RandomSpec, random_pair, random_system
 from opacedit.synthesis import encode_components
-from opacedit.tpo import W, Y, Z
+from opacedit.tpo import TpoState, W, Y, Z
 from opacedit.transform import (
     DELIVER,
     DELIVER_ERASED,
@@ -95,13 +95,13 @@ def test_decorations_of_accepted_names_read_back(base, context):
 
 def test_monolithic_encoding_mirrors_tpo(mono_tpo):
     enc = transform_monolithic(mono_tpo)
-    assert set(enc.origins) == set(mono_tpo.state_map())
+    assert set(enc.origins) == {st.name for st in mono_tpo.states}
     # marked states are exactly the Y layer
     for st in enc.automaton.states:
         assert st.marked == (enc.origins[st.name] == "Y")
     # every plant edge carries the run label of the matching TPO edge
     tpo_edges = {
-        (tr.source, run_label_of(tr), tr.target) for tr in mono_tpo.transitions
+        (tr.source.name, run_label_of(tr), tr.target.name) for tr in mono_tpo.transitions
     }
     for src, label, dst in enc.automaton.transitions:
         dec = enc.decorations[label]
@@ -179,7 +179,6 @@ def test_augment_adds_only_insertion_edges(pair):
 
 
 def _reference_monolithic(t, name=None):
-    state_map = t.state_map()
     contexts = sorted({st.event for st in t.states if st.kind == Z})
     alphabet = sorted(ev.name for ev in t.events if ev.observable)
     events = {}
@@ -197,16 +196,16 @@ def _reference_monolithic(t, name=None):
     transitions = []
     decorations = {}
     for tr in t.transitions:
-        pending = state_map[tr.source].event if state_map[tr.source].kind == Z else None
+        pending = tr.source.event if tr.source.kind == Z else None
         dec = _decorate(tr, pending)
         if dec.name not in events:
             events[dec.name] = dec.event()
         decorations[dec.name] = dec
-        transitions.append((tr.source, dec.name, tr.target))
+        transitions.append((tr.source.name, dec.name, tr.target.name))
     for ev_name in events:
         decorations.setdefault(ev_name, parse_decorated(ev_name))
     states = tuple(
-        State(name=st.name, initial=(st.name == t.initial), marked=(st.kind == Y), secret=False)
+        State(name=st.name, initial=(st == t.initial), marked=(st.kind == Y), secret=False)
         for st in t.states
     )
     automaton = Automaton(
@@ -393,6 +392,23 @@ def test_monolithic_is_the_one_component_case(seed):
     observer = determinize(g)
     t = build_largest_tpo(desired_observer(observer), observer)
     _assert_same_encodings((transform_monolithic(t, name="G^T"),), (_reference_monolithic(t, name="G^T"),))
+
+
+def test_encoding_renders_each_tpo_state_name_once(monkeypatch, ring):
+    render = TpoState.name.fget
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return render(state)
+
+    monkeypatch.setattr(TpoState, "name", property(counted))
+    for systems in (list(demo_pair()), ring(0)):
+        calls.clear()
+        _, tpos, _ = encode_components(systems)
+        rendered = sum(len(t.states) for t in tpos)
+        assert rendered > 0
+        assert len(calls) <= rendered
 
 
 def _renamed(g, table):
