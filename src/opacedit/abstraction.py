@@ -17,17 +17,16 @@ are reproducible regardless of iteration order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .automata import TAU, Automaton, Partition, block_name, quotient
-from .estimation import Estimate, Observer, desired_observer, determinize
+from .estimation import Estimate, Observer, desired_observer, determinize, unobservable_reach
 
 
 def _refine(
     states: list[str],
-    edges: Mapping[str, list[tuple[str, str]]],
+    edges: Mapping[str, Sequence[tuple[str, str]]],
     initial_key: Mapping[str, object],
 ) -> Partition:
     """Coarsest partition refining ``initial_key`` that is stable under
@@ -42,7 +41,7 @@ def _refine(
     while True:
         signatures: dict[str, object] = {}
         for state in states:
-            sig = frozenset((label, block_of[dst]) for label, dst in edges.get(state, []))
+            sig = frozenset((label, block_of[dst]) for label, dst in edges[state])
             signatures[state] = (block_of[state], sig)
         new_ids: dict[object, int] = {}
         new_block_of = {}
@@ -63,9 +62,7 @@ def _refine(
 
 def bisimulation_partition(a: Automaton) -> Partition:
     """Coarsest strong bisimulation, with tau treated as an ordinary label."""
-    edges: dict[str, list[tuple[str, str]]] = {st.name: [] for st in a.states}
-    for src, label, dst in a.transitions:
-        edges[src].append((label, dst))
+    edges = {st.name: a.outgoing(st.name) for st in a.states}
     return _refine([st.name for st in a.states], edges, {st.name: True for st in a.states})
 
 
@@ -74,17 +71,7 @@ def _saturated_edges(a: Automaton) -> dict[str, list[tuple[str, str]]]:
     ``(x, epsilon, y)`` iff ``x (tau*) y``.  Strong stability on this relation
     is exactly observation equivalence."""
     silent = {ev.name for ev in a.events if not ev.observable} | {TAU}
-    closure: dict[str, set[str]] = {}
-    for st in a.states:
-        seen = {st.name}
-        queue = deque([st.name])
-        while queue:
-            here = queue.popleft()
-            for label, dst in a.outgoing(here):
-                if label in silent and dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        closure[st.name] = seen
+    closure = {st.name: unobservable_reach(a, (st.name,)) for st in a.states}
     edges: dict[str, list[tuple[str, str]]] = {st.name: [] for st in a.states}
     for st in a.states:
         targets: dict[str, set[str]] = {}
@@ -111,9 +98,7 @@ def opaque_bisimulation_partition(o: Observer) -> Partition:
     """Coarsest strong bisimulation on an observer that never merges a
     revealing (secret-only) estimate with a safe one."""
     base = o.automaton
-    edges: dict[str, list[tuple[str, str]]] = {st.name: [] for st in base.states}
-    for src, label, dst in base.transitions:
-        edges[src].append((label, dst))
+    edges = {st.name: base.outgoing(st.name) for st in base.states}
     split = {label: o.estimates[label].secret_only for label in (st.name for st in base.states)}
     return _refine([st.name for st in base.states], edges, split)
 

@@ -175,9 +175,6 @@ class Partition:
                 table[member] = i
         return table
 
-    def block_of(self, state: str) -> frozenset[str]:
-        return self.blocks[self.block_index[state]]
-
 
 def block_name(block: frozenset[str]) -> str:
     """Canonical printable name of a block: singletons keep the member name."""

@@ -124,8 +124,7 @@ def abstract(file: str, output_prefix: str | None) -> None:
         f"{prefix}.desired.json": bundle.h_obd.automaton,
     }
     for path, automaton in outputs.items():
-        Path(path).write_text(serialize_automaton(automaton), encoding="utf-8")
-        click.echo(f"wrote {path}", err=True)
+        _write(serialize_automaton(automaton), path)
     blocks = [sorted(block) for block in bundle.partition.blocks]
     click.echo(json.dumps({"partition": blocks}, indent=2, ensure_ascii=False))
 
@@ -170,18 +169,14 @@ def transform(
     bundles, tpos, components = encode_components(systems)
     prefix = output_prefix or "transformed"
     for i, comp in enumerate(components):
-        path = f"{prefix}.{i}.json"
-        Path(path).write_text(serialize_document(comp), encoding="utf-8")
-        click.echo(f"wrote {path}", err=True)
+        _write(serialize_document(comp), f"{prefix}.{i}.json")
     if augment_remark2:
         spec = build_constraint_automaton(0, components, name="K0")
         plant = product_plant(components, spec, name="product")
         augmented = augment_missing_insertions(
             plant.automaton, plant.tuple_map, tpos, bundles, name="product+ins"
         )
-        path = f"{prefix}.product.json"
-        Path(path).write_text(serialize_automaton(augmented), encoding="utf-8")
-        click.echo(f"wrote {path}", err=True)
+        _write(serialize_automaton(augmented), f"{prefix}.product.json")
 
 
 @main.command("spec-k")

@@ -12,7 +12,7 @@ event neither consumes nor restores erasure budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .automata import Automaton, Event, State, Transition
 from .transform import ERASE, INSERT, TransformedAutomaton, decoration_table
@@ -34,10 +34,7 @@ def constraint_alphabet(components: Sequence[TransformedAutomaton]) -> Constrain
 
 def build_constraint_automaton(
     max_erasures: int,
-    components: Sequence[TransformedAutomaton] | None = None,
-    *,
-    inserts: Iterable[str] | None = None,
-    erasures: Iterable[str] | None = None,
+    components: Sequence[TransformedAutomaton],
     name: str = "K",
 ) -> Automaton:
     """Build the erasure-budget specification over the components' decisions.
@@ -48,13 +45,7 @@ def build_constraint_automaton(
     """
     if max_erasures < 0:
         raise ValueError("max_erasures must be nonnegative")
-    if components is not None:
-        spec = constraint_alphabet(components)
-        ins_events = list(spec.inserts)
-        erz_events = list(spec.erasures)
-    else:
-        ins_events = sorted(inserts or ())
-        erz_events = sorted(erasures or ())
+    spec = constraint_alphabet(components)
     k = max_erasures
     states = tuple(
         State(name=f"x{i}", initial=(i == 1), marked=(i <= k + 1), secret=False)
@@ -62,9 +53,9 @@ def build_constraint_automaton(
     )
     transitions: list[Transition] = []
     for i in range(1, k + 2):
-        for erz in erz_events:
+        for erz in spec.erasures:
             transitions.append((f"x{i}", erz, f"x{i + 1}"))
-        for ins in ins_events:
+        for ins in spec.inserts:
             transitions.append((f"x{i}", ins, "x1"))
-    events = tuple(Event(name=n) for n in sorted(set(ins_events) | set(erz_events)))
+    events = tuple(Event(name=n) for n in sorted(spec.inserts + spec.erasures))
     return Automaton(name=name, events=events, states=states, transitions=tuple(transitions))

@@ -21,7 +21,9 @@ from typing import Any
 
 from .automata import Automaton, Event, InvalidAutomaton, State
 from .synthesis import ModularEditStructure
-from .tpo import KINDS, Tpo, TpoState, TpoTransition, state_names
+from .tpo import (
+    KINDS, W, WY1, WY2, Y, YZ, Z, ZW1, ZW2, ZZ, Tpo, TpoState, TpoTransition, state_names,
+)
 from .transform import TransformedAutomaton, decoration_table, parse_decorated
 
 KIND_TPO = "tpo"
@@ -105,9 +107,9 @@ def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
                 secret=_expect_bool(entry.get("secret"), f"{here}.secret", False),
             )
         )
+    # Unknown states and undeclared events are left to ``Automaton``, whose
+    # error names ``transitions[i]``.
     transitions = []
-    declared = {st.name for st in states}
-    event_names = {ev.name for ev in events}
     for i, entry in enumerate(_expect_list(doc.get("transitions", []), f"{path}.transitions")):
         here = f"{path}.transitions[{i}]"
         entry = _expect_list(entry, here)
@@ -116,12 +118,6 @@ def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
         src = _expect_string(entry[0], f"{here}[0]")
         label = _expect_string(entry[1], f"{here}[1]")
         dst = _expect_string(entry[2], f"{here}[2]")
-        if src not in declared:
-            _fail(f"{here}[0]", f"unknown state {src!r}")
-        if dst not in declared:
-            _fail(f"{here}[2]", f"unknown state {dst!r}")
-        if label != "tau" and label not in event_names:
-            _fail(f"{here}[1]", f"undeclared event {label!r}")
         transitions.append((src, label, dst))
     try:
         return Automaton(
@@ -191,9 +187,22 @@ def tpo_to_dict(t: Tpo) -> dict:
     }
 
 
+# Per transition class: the kind and erased flag of its source and target.
+_ENDPOINTS = {
+    YZ: ((Y, False), (Z, False)),
+    ZZ: ((Z, False), (Z, False)),
+    ZW1: ((Z, False), (W, False)),
+    ZW2: ((Z, False), (W, True)),
+    WY1: ((W, False), (Y, False)),
+    WY2: ((W, True), (Y, False)),
+}
+
+
 def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
     """States are listed by their fields; transitions and ``initial`` cite a
-    state by the name ``state_names`` renders for it."""
+    state by the name ``state_names`` renders for it.  A Z state needs its
+    event, a W state its action, and a transition's class must fit the kind
+    and erased flag of each endpoint."""
     doc = _expect_object(doc, path)
     name = _expect_string(doc.get("name", "tpo"), f"{path}.name")
     events = _events_from_dict(doc, path)
@@ -207,17 +216,20 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
         kind = entry.get("kind")
         if kind not in KINDS:
             _fail(f"{here}.kind", f"expected one of {', '.join(KINDS)}, got {kind!r}")
-        states.append(
-            TpoState(
-                kind=kind,
-                x_d=_expect_string(entry.get("x_d"), f"{here}.x_d"),
-                x_f=_expect_string(entry.get("x_f"), f"{here}.x_f"),
-                event=_optional_string(entry.get("event"), f"{here}.event"),
-                action=_optional_string(entry.get("action"), f"{here}.action"),
-                erased=_expect_bool(entry.get("erased"), f"{here}.erased", False),
-                count=count,
-            )
+        state = TpoState(
+            kind=kind,
+            x_d=_expect_string(entry.get("x_d"), f"{here}.x_d"),
+            x_f=_expect_string(entry.get("x_f"), f"{here}.x_f"),
+            event=_optional_string(entry.get("event"), f"{here}.event"),
+            action=_optional_string(entry.get("action"), f"{here}.action"),
+            erased=_expect_bool(entry.get("erased"), f"{here}.erased", False),
+            count=count,
         )
+        if kind == Z and state.event is None:
+            _fail(here, "a Z state needs an event")
+        if kind == W and state.action is None:
+            _fail(here, "a W state needs an action")
+        states.append(state)
     try:
         names = state_names(states)
     except InvalidAutomaton as err:
@@ -236,7 +248,12 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
             _fail(f"{here}[0]", f"unknown state {src!r}")
         if dst not in by_name:
             _fail(f"{here}[3]", f"unknown state {dst!r}")
-        transitions.append(TpoTransition(by_name[src], cls, label, by_name[dst]))
+        source, target = by_name[src], by_name[dst]
+        if cls not in _ENDPOINTS:
+            _fail(f"{here}[1]", f"expected one of {', '.join(_ENDPOINTS)}, got {cls!r}")
+        if _ENDPOINTS[cls] != ((source.kind, source.erased), (target.kind, target.erased)):
+            _fail(f"{here}[1]", f"class {cls!r} does not fit {src!r} -> {dst!r}")
+        transitions.append(TpoTransition(source, cls, label, target))
     initial = doc.get("initial")
     if initial is not None and initial not in by_name:
         _fail(f"{path}.initial", f"unknown state {initial!r}")
@@ -263,7 +280,9 @@ def transformed_from_dict(doc: Any, path: str = "$") -> TransformedAutomaton:
     origins_doc = _expect_object(doc.get("origins", {}), f"{path}.origins")
     origins = {}
     for key, value in origins_doc.items():
-        origins[key] = _expect_string(value, f"{path}.origins.{key}")
+        if value not in KINDS:
+            _fail(f"{path}.origins.{key}", f"expected one of {', '.join(KINDS)}, got {value!r}")
+        origins[key] = value
     for st in automaton.states:
         if st.name not in origins:
             _fail(f"{path}.origins", f"missing origin for state {st.name!r}")
@@ -320,6 +339,11 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
             )
         tuple_map[key] = tuple(parts)
     supervisor = automaton_from_dict(doc.get("supervisor"), f"{path}.supervisor")
+    if supervisor.states and len(supervisor.initial_states) != 1:
+        _fail(
+            f"{path}.supervisor.states",
+            f"expected exactly one initial state, got {len(supervisor.initial_states)}",
+        )
     missing = [st.name for st in plant.states + supervisor.states if st.name not in tuple_map]
     if missing:
         _fail(f"{path}.tuple_map", f"missing entry for state {missing[0]!r}")

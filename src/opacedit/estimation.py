@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .automata import TAU, Automaton, Event, State, Transition
+from .automata import TAU, Automaton, State, Transition, restrict
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,7 @@ def desired_observer(o: Observer, name: str | None = None) -> Observer:
     """
     keep = {label for label, est in o.estimates.items() if not est.secret_only}
     base = o.automaton
-    states = tuple(st for st in base.states if st.name in keep)
-    transitions = tuple(t for t in base.transitions if t[0] in keep and t[2] in keep)
-    trimmed = Automaton(
-        name=name or f"{base.name}_d",
-        events=base.events,
-        states=states,
-        transitions=transitions,
-    ).trim_reachable()
+    trimmed = restrict(base, keep, name=name or f"{base.name}_d").trim_reachable()
     kept = {st.name for st in trimmed.states}
     return Observer(
         automaton=trimmed,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .abstraction import AbstractionBundle, abstract_component
-from .automata import Automaton, InvalidAutomaton, synchronous_product
+from .automata import Automaton, InvalidAutomaton, restrict, synchronous_product
 from .constraint import build_constraint_automaton
 from .tpo import Tpo, Y, build_largest_tpo
 from .transform import TransformedAutomaton, transform_modular
@@ -125,14 +125,7 @@ def supremal_controllable_nonblocking(
             alive = reach
         if not changed:
             break
-    states = tuple(st for st in plant.states if st.name in alive)
-    transitions = tuple(t for t in plant.transitions if t[0] in alive and t[2] in alive)
-    return Automaton(
-        name=name or f"sup({plant.name})",
-        events=plant.events,
-        states=states,
-        transitions=transitions,
-    )
+    return restrict(plant, alive, name=name or f"sup({plant.name})")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,18 @@
 """The consecutive-erasure specification automaton K."""
 
+from types import SimpleNamespace
+
 from opacedit import (
     build_constraint_automaton,
     constraint_alphabet,
     language_upto,
+    parse_decorated,
 )
+
+# A component reduced to what the constraint reads: one insert and one erase.
+ONE_OF_EACH = [
+    SimpleNamespace(decorations={name: parse_decorated(name) for name in ("ins:a@a", "erz:a@a")})
+]
 
 
 def test_constraint_alphabet_collects_decisions(structure):
@@ -18,7 +26,7 @@ def test_constraint_alphabet_collects_decisions(structure):
 
 
 def test_chain_shape():
-    k = build_constraint_automaton(2, inserts=["ins:a@a"], erasures=["erz:a@a"])
+    k = build_constraint_automaton(2, ONE_OF_EACH)
     names = [st.name for st in k.states]
     assert names == ["x1", "x2", "x3", "x4"]
     marked = [st.name for st in k.states if st.marked]
@@ -27,7 +35,7 @@ def test_chain_shape():
 
 
 def test_erasures_advance_and_inserts_reset():
-    k = build_constraint_automaton(1, inserts=["ins:a@a"], erasures=["erz:a@a"])
+    k = build_constraint_automaton(1, ONE_OF_EACH)
     succ = dict(((src, label), dst) for src, label, dst in k.transitions)
     assert succ[("x1", "erz:a@a")] == "x2"
     assert succ[("x2", "erz:a@a")] == "x3"
@@ -40,7 +48,7 @@ def test_erasures_advance_and_inserts_reset():
 def test_language_never_exceeds_budget():
     # the overflow state is reachable (it is what synthesis prunes against)
     # but it is a dead end, so streaks longer than k+1 never occur
-    k = build_constraint_automaton(1, inserts=["ins:a@a"], erasures=["erz:a@a"])
+    k = build_constraint_automaton(1, ONE_OF_EACH)
     for string in language_upto(k, 5):
         streak = 0
         for symbol in string:

@@ -1,4 +1,5 @@
-"""The demo commands' outputs, pinned byte for byte by sha256."""
+"""The demo commands' outputs and larger structure documents, pinned byte for
+byte by sha256."""
 
 import hashlib
 from pathlib import Path
@@ -6,7 +7,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from opacedit import serialize_document, synthesize_modular_edit_structure
 from opacedit.cli import main
+from opacedit.oracle import RandomSpec, random_pair
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 G1 = str(DATA / "demo_g1.json")
@@ -38,3 +41,23 @@ def test_demo_modular_encodings_are_pinned(tmp_path):
     assert result.exit_code == 0, result.output
     digests = [_digest((tmp_path / f"enc.{i}.json").read_bytes()) for i in (0, 1)]
     assert digests == ["2f83347ee099e98f", "7b47a5f191deedd1"]
+
+
+@pytest.mark.parametrize(
+    "ring_args, sizes, digest",
+    [
+        # no ring: the base instance of the benchmark's pair-large workload
+        (None, (2573, 876), "e9344caa870c2bb7"),
+        ((0,), (57, 36), "07114d6b6bfbf008"),
+        ((3, 4), (19, 12), "89fae000c05e95a8"),
+    ],
+    ids=["pair-large", "ring-0", "ring-3x4"],
+)
+def test_structure_documents_are_pinned(ring, ring_args, sizes, digest):
+    if ring_args is None:
+        systems = random_pair(RandomSpec(seed=2, max_states=24, alphabet_size=6))
+    else:
+        systems = ring(*ring_args)
+    m = synthesize_modular_edit_structure(list(systems), 1)
+    assert (len(m.plant.states), len(m.supervisor.states)) == sizes
+    assert _digest(serialize_document(m).encode("utf-8")) == digest

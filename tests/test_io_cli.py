@@ -106,6 +106,29 @@ def test_parse_rejects_declared_tau():
         parse_automaton(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "transition",
+    [["ghost", "a", "s0"], ["s0", "a", "ghost"], ["s0", "ghost", "s0"]],
+    ids=["source", "target", "event"],
+)
+def test_cli_rejects_transition_citing_unknown_state_or_event(tmp_path, transition):
+    doc = {
+        "name": "bad",
+        "events": [{"name": "a"}],
+        "states": [{"name": "s0", "initial": True}],
+        "transitions": [transition],
+    }
+    with pytest.raises(DocumentError) as err:
+        parse_automaton(json.dumps(doc))
+    assert "$" in str(err.value) and "transitions[0]" in str(err.value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["verify-opacity"], ["synthesize", "-k", "1"]):
+        result = runner().invoke(main, [*command, str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+
+
 def test_parse_automaton_rejects_other_document_kinds(mono_tpo):
     with pytest.raises(DocumentError) as err:
         parse_automaton(serialize_document(transform_monolithic(mono_tpo)))
@@ -356,6 +379,27 @@ def test_cli_export_dot_reports_malformed_decorated_name(tmp_path, mono_tpo):
     assert f"$.automaton.events[{index}].name: malformed decorated event 'ins:x'" in line
 
 
+def _single_error_line(result):
+    """The one ``Error:`` line of a run that exited 2 without a traceback."""
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    [line] = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    return line
+
+
+def test_cli_export_dot_rejects_unknown_origin(tmp_path):
+    result = runner().invoke(main, ["transform", G1])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    state = next(iter(doc["origins"]))
+    doc["origins"][state] = "Q"
+    path = tmp_path / "encoded.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    line = _single_error_line(runner().invoke(main, ["export-dot", str(path)]))
+    assert f"$.origins.{state}: expected one of Y, Z, W, got 'Q'" in line
+
+
 def _game_collision_component(second):
     # with ``second`` named ``a!`` or ``a→ε`` a decision state over ``a``
     # renders like the state where ``second`` is pending
@@ -417,10 +461,40 @@ def _repeat_first_state(doc):
     return "$.states: two TPO states"
 
 
+def _drop_pending_event(doc):
+    index = next(i for i, st in enumerate(doc["states"]) if st["kind"] == "Z")
+    del doc["states"][index]["event"]
+    return f"$.states[{index}]: a Z state needs an event"
+
+
+def _deliver_after_erasure(doc):
+    index = next(i for i, tr in enumerate(doc["transitions"]) if tr[1] == "wy2")
+    doc["transitions"][index][1] = "wy1"
+    return f"$.transitions[{index}][1]"
+
+
+def _set_first_class(cls):
+    def edit(doc):
+        assert doc["transitions"][0][1] == "yz"
+        doc["transitions"][0][1] = cls
+        return "$.transitions[0][1]"
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
-    [_set_unknown_kind, _set_numeric_event, _set_numeric_action, _repeat_first_state],
-    ids=["kind", "event", "action", "collision"],
+    [
+        _set_unknown_kind,
+        _set_numeric_event,
+        _set_numeric_action,
+        _repeat_first_state,
+        _set_first_class("bogus"),
+        _set_first_class("zz"),
+        _drop_pending_event,
+        _deliver_after_erasure,
+    ],
+    ids=["kind", "event", "action", "collision", "bogus", "zz", "z-event", "wy1-erased"],
 )
 def test_cli_export_dot_rejects_invalid_tpo_document(tmp_path, edit):
     result = runner().invoke(main, ["tpo", G1])
@@ -515,6 +589,22 @@ def test_cli_step_rejects_undeclared_or_malformed_events(tmp_path, edit, where):
     result = runner().invoke(main, ["step", path], input="quit\n")
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
+
+
+def _clear_initial(doc):
+    for state in doc["supervisor"]["states"]:
+        state["initial"] = False
+
+
+def _add_initial(doc):
+    doc["supervisor"]["states"][-1]["initial"] = True
+
+
+@pytest.mark.parametrize("edit", [_clear_initial, _add_initial], ids=["none", "two"])
+def test_cli_step_rejects_supervisor_without_one_initial_state(tmp_path, edit):
+    path = _structure_file(tmp_path, edit)
+    line = _single_error_line(runner().invoke(main, ["step", path], input="quit\n"))
+    assert "$.supervisor.states: expected exactly one initial state" in line
 
 
 def test_cli_step_rejects_plain_automaton():
