@@ -31,11 +31,10 @@ from .runtime import POLICIES, StepError, open_session, step
 from .synthesis import (
     ModularEditStructure,
     encode_components,
-    product_plant,
     synthesize_modular_edit_structure,
 )
 from .tpo import largest_tpo
-from .transform import augment_missing_insertions, transform_monolithic
+from .transform import transform_monolithic
 
 EXIT_VIOLATED = 1
 EXIT_UNENFORCEABLE = 3
@@ -142,21 +141,9 @@ def tpo_command(file: str, output: str | None) -> None:
 @main.command("transform")
 @click.argument("files", nargs=-1, required=True)
 @click.option("--modular", is_flag=True, help="Encode components for modular composition.")
-@click.option(
-    "--augment-remark2",
-    is_flag=True,
-    help="Also write the component product with recovered cross-component insertions.",
-)
 @click.option("-o", "--output-prefix", default=None, help="Prefix for the output files.")
-def transform(
-    files: tuple[str, ...],
-    modular: bool,
-    augment_remark2: bool,
-    output_prefix: str | None,
-) -> None:
+def transform(files: tuple[str, ...], modular: bool, output_prefix: str | None) -> None:
     """Encode TPOs as plant automata with decorated decision events."""
-    if augment_remark2 and not modular:
-        raise click.UsageError("--augment-remark2 requires --modular")
     systems = _compose(files)
     if not modular:
         if len(systems) > 1:
@@ -166,17 +153,10 @@ def transform(
         encoded = transform_monolithic(t, name=f"{g.name}^T")
         _write(serialize_document(encoded), output_prefix)
         return
-    bundles, tpos, components = encode_components(systems)
+    _, _, components = encode_components(systems)
     prefix = output_prefix or "transformed"
     for i, comp in enumerate(components):
         _write(serialize_document(comp), f"{prefix}.{i}.json")
-    if augment_remark2:
-        spec = build_constraint_automaton(0, components, name="K0")
-        plant = product_plant(components, spec, name="product")
-        augmented = augment_missing_insertions(
-            plant.automaton, plant.tuple_map, tpos, bundles, name="product+ins"
-        )
-        _write(serialize_automaton(augmented), f"{prefix}.product.json")
 
 
 @main.command("spec-k")

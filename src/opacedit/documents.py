@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from operator import getitem
 from typing import Any
 
 from .automata import Automaton, Event, InvalidAutomaton, State
@@ -211,7 +212,7 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
         here = f"{path}.states[{i}]"
         entry = _expect_object(entry, here)
         count = entry.get("count")
-        if count is not None and not isinstance(count, int):
+        if count is not None and type(count) is not int:  # bool is an int subclass
             _fail(f"{here}.count", f"expected an integer, got {count!r}")
         kind = entry.get("kind")
         if kind not in KINDS:
@@ -313,7 +314,7 @@ def structure_to_dict(m: ModularEditStructure) -> dict:
 def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
     doc = _expect_object(doc, path)
     max_erasures = doc.get("max_erasures")
-    if not isinstance(max_erasures, int) or max_erasures < 0:
+    if type(max_erasures) is not int or max_erasures < 0:  # bool is an int subclass
         _fail(f"{path}.max_erasures", f"expected a nonnegative integer, got {max_erasures!r}")
     components = tuple(
         transformed_from_dict(entry, f"{path}.components[{i}]")
@@ -347,6 +348,20 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
     missing = [st.name for st in plant.states + supervisor.states if st.name not in tuple_map]
     if missing:
         _fail(f"{path}.tuple_map", f"missing entry for state {missing[0]!r}")
+    # The runtime follows the supervisor's edges and reads Y from its marked flag.
+    if not supervisor.is_deterministic:
+        _fail(f"{path}.supervisor.transitions", "expected a deterministic supervisor")
+    origins = [comp.origins for comp in components]
+    all_y = (Y,) * len(components)
+    for i, st in enumerate(supervisor.states):
+        if plant.state_map.get(st.name) != st:
+            _fail(f"{path}.supervisor.states[{i}]", f"state {st.name!r} is not a plant state with its flags")
+        if st.marked != (tuple(map(getitem, origins, tuple_map[st.name])) == all_y):
+            _fail(f"{path}.supervisor.states[{i}]", "expected marked exactly when every component is at Y")
+    plant_edges = set(plant.transitions)
+    for i, edge in enumerate(supervisor.transitions):
+        if edge not in plant_edges:
+            _fail(f"{path}.supervisor.transitions[{i}]", f"transition {list(edge)!r} is not in the plant")
     # The runtime reads every decoration from the components.
     declared = decoration_table(components)
     for key, automaton in (("plant", plant), ("supervisor", supervisor)):

@@ -93,7 +93,7 @@ def open_session(
         edges.setdefault(src, []).append((label, decorations[label], dst))
     for state in edges:
         edges[state].sort(key=lambda item: item[0])
-    y_states = frozenset(st.name for st in supervisor.states if m.all_y(st.name))
+    y_states = supervisor.marked_states
     z_states = len(supervisor.states) - len(y_states)
     return Session(
         structure=m,

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .abstraction import AbstractionBundle, abstract_component
 from .automata import Automaton, InvalidAutomaton, restrict, synchronous_product
 from .constraint import build_constraint_automaton
-from .tpo import Tpo, Y, build_largest_tpo
+from .tpo import Tpo, build_largest_tpo
 from .transform import TransformedAutomaton, transform_modular
 
 
@@ -131,7 +131,10 @@ def supremal_controllable_nonblocking(
 @dataclass(frozen=True)
 class ModularEditStructure:
     """Everything synthesis produces: the encoded components, the
-    constraint, the plant product and the supervisor."""
+    constraint, the plant product and the supervisor.  A supervisor state is
+    marked exactly when every component is at a Y origin: components mark
+    their Y states, and the constraint's one unmarked state is blocking, so
+    the supervisor never keeps it."""
 
     components: tuple[TransformedAutomaton, ...]
     constraint: Automaton
@@ -147,12 +150,6 @@ class ModularEditStructure:
 
     def is_empty(self) -> bool:
         return not self.supervisor.states
-
-    def all_y(self, state_name: str) -> bool:
-        parts = self.tuple_map[state_name]
-        return all(
-            self.components[i].origins[parts[i]] == Y for i in range(len(self.components))
-        )
 
 
 def encode_components(

@@ -41,7 +41,7 @@ from .automata import (
     Transition,
     erasure_symbol,
 )
-from .tpo import Tpo, TpoTransition, W, Y, YZ, Z, ZW1, ZW2, ZZ, WY1, WY2, state_names
+from .tpo import Tpo, TpoTransition, Y, YZ, Z, ZW1, ZW2, ZZ, WY1, WY2, state_names
 
 SYSTEM = "system"
 INSERT = "insert"
@@ -274,77 +274,3 @@ def transform_modular(
         origins = {rendered[st]: st.kind for st in t.states}
         results.append(TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations))
     return tuple(results)
-
-
-def augment_missing_insertions(
-    product: Automaton,
-    tuple_map: Mapping[str, tuple[str, ...]],
-    tpos: Sequence[Tpo],
-    bundles: Sequence["object"],
-    name: str | None = None,
-) -> Automaton:
-    """Recover insertions the product loses because a component sits at a Y
-    state while others hold a pending event.
-
-    ``product`` and ``tuple_map`` come from ``product_plant`` over the
-    encodings of ``tpos``; each tuple starts with one state per TPO, and
-    further parts (the constraint) are carried along unchanged.  ``bundles``
-    are the components' abstraction bundles, whose desired observers advance
-    the intruder estimates.  Each component state name in ``tuple_map`` is
-    read back as the ``TpoState`` that ``state_names`` rendered to it.
-
-    For a product state whose components are all at Y or Z origins with a
-    pending context available, an event ``sigma`` may be inserted when every
-    component knowing ``sigma`` is at a Y state whose intruder estimate can
-    advance on ``sigma`` in its desired observer; those components advance
-    their estimate, all others stay put.  The added edge is labeled with the
-    insert decoration in the pending context.
-    """
-    observers = [bundle.h_obd.automaton for bundle in bundles]
-    knows = [{ev.name for ev in bundle.component.events} for bundle in bundles]
-    all_events = sorted(set().union(*knows))
-    names = [state_names(t.states) for t in tpos]
-    tpo_states = [{name: st for st, name in table.items()} for table in names]
-    y_index = [{(st.x_d, st.x_f): name for st, name in table.items() if st.kind == Y} for table in names]
-    product_index = {parts: label for label, parts in tuple_map.items()}
-    n = len(tpos)
-
-    events = {ev.name: ev for ev in product.events}
-    added: list[Transition] = []
-    existing = set(product.transitions)
-    for prod_state, parts in tuple_map.items():
-        comp_states = [tpo_states[i][parts[i]] for i in range(n)]
-        if any(st.kind == W for st in comp_states):
-            continue
-        pending = next((st.event for st in comp_states if st.kind == Z), None)
-        if pending is None:
-            continue
-        for sigma in all_events:
-            movers = [i for i in range(n) if sigma in knows[i]]
-            if not movers or any(comp_states[i].kind != Y for i in movers):
-                continue
-            targets = list(parts)
-            for i in movers:
-                st = comp_states[i]
-                nxt = observers[i].successors(st.x_d, sigma)
-                target = y_index[i].get((nxt[0], st.x_f)) if nxt else None
-                if target is None:
-                    break
-                targets[i] = target
-            else:
-                target_name = product_index.get(tuple(targets))
-                if target_name is None:
-                    continue
-                dec = DecoratedEvent(kind=INSERT, base=sigma, context=pending)
-                if dec.name not in events:
-                    events[dec.name] = dec.event()
-                edge = (prod_state, dec.name, target_name)
-                if edge not in existing:
-                    added.append(edge)
-                    existing.add(edge)
-    return Automaton(
-        name=name or f"{product.name}+ins",
-        events=tuple(sorted(events.values(), key=lambda ev: ev.name)),
-        states=product.states,
-        transitions=tuple(list(product.transitions) + added),
-    )

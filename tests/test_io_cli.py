@@ -245,18 +245,10 @@ def test_cli_transform_monolithic_stdout():
 
 def test_cli_transform_modular_files(tmp_path):
     prefix = str(tmp_path / "enc")
-    result = runner().invoke(
-        main, ["transform", G1, G2, "--modular", "--augment-remark2", "-o", prefix]
-    )
+    result = runner().invoke(main, ["transform", G1, G2, "--modular", "-o", prefix])
     assert result.exit_code == 0
     assert (tmp_path / "enc.0.json").exists()
     assert (tmp_path / "enc.1.json").exists()
-    assert (tmp_path / "enc.product.json").exists()
-
-
-def test_cli_transform_augment_requires_modular():
-    result = runner().invoke(main, ["transform", G1, "--augment-remark2"])
-    assert result.exit_code == 2
 
 
 def test_cli_spec_k():
@@ -482,6 +474,11 @@ def _set_first_class(cls):
     return edit
 
 
+def _set_boolean_count(doc):
+    doc["states"][0]["count"] = True
+    return "$.states[0].count: expected an integer, got True"
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -493,8 +490,9 @@ def _set_first_class(cls):
         _set_first_class("zz"),
         _drop_pending_event,
         _deliver_after_erasure,
+        _set_boolean_count,
     ],
-    ids=["kind", "event", "action", "collision", "bogus", "zz", "z-event", "wy1-erased"],
+    ids=["kind", "event", "action", "collision", "bogus", "zz", "z-event", "wy1-erased", "count"],
 )
 def test_cli_export_dot_rejects_invalid_tpo_document(tmp_path, edit):
     result = runner().invoke(main, ["tpo", G1])
@@ -605,6 +603,69 @@ def test_cli_step_rejects_supervisor_without_one_initial_state(tmp_path, edit):
     path = _structure_file(tmp_path, edit)
     line = _single_error_line(runner().invoke(main, ["step", path], input="quit\n"))
     assert "$.supervisor.states: expected exactly one initial state" in line
+
+
+def _initial_name(doc):
+    return next(st["name"] for st in doc["supervisor"]["states"] if st["initial"])
+
+
+def _add_tau_loop(doc):
+    initial = _initial_name(doc)
+    loop = [initial, "tau", initial]
+    doc["plant"]["transitions"].append(loop)
+    doc["supervisor"]["transitions"].append(loop)
+    return "$.supervisor.transitions: expected a deterministic supervisor"
+
+
+def _add_second_beta_edge(doc):
+    transitions = doc["supervisor"]["transitions"]
+    index = next(i for i, (src, label, _) in enumerate(transitions) if label == "beta")
+    source = transitions[index][0]
+    transitions.insert(index, [source, "beta", source])
+    return "$.supervisor.transitions: expected a deterministic supervisor"
+
+
+def _add_edge_not_in_plant(doc):
+    marked = [st["name"] for st in doc["supervisor"]["states"] if st["marked"]]
+    doc["supervisor"]["transitions"].append([_initial_name(doc), "alpha", marked[-1]])
+    return f"$.supervisor.transitions[{len(doc['supervisor']['transitions']) - 1}]: transition"
+
+
+def _flip_marked(doc):
+    state = doc["supervisor"]["states"][1]
+    state["marked"] = not state["marked"]
+    plant_state = next(st for st in doc["plant"]["states"] if st["name"] == state["name"])
+    plant_state["marked"] = state["marked"]
+    return "$.supervisor.states[1]: expected marked exactly when every component is at Y"
+
+
+def _flip_secret_in_supervisor_only(doc):
+    doc["supervisor"]["states"][1]["secret"] = True
+    return "$.supervisor.states[1]: state"
+
+
+def _set_boolean_bound(doc):
+    doc["max_erasures"] = True
+    return "$.max_erasures: expected a nonnegative integer, got True"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _add_tau_loop,
+        _add_second_beta_edge,
+        _add_edge_not_in_plant,
+        _flip_marked,
+        _flip_secret_in_supervisor_only,
+        _set_boolean_bound,
+    ],
+    ids=["tau", "nondeterministic", "edge-not-in-plant", "marked", "flags", "bool-bound"],
+)
+def test_cli_step_rejects_invalid_structure_document(tmp_path, edit):
+    where = []
+    path = _structure_file(tmp_path, lambda doc: where.append(edit(doc)))
+    line = _single_error_line(runner().invoke(main, ["step", path], input="quit\n"))
+    assert where[0] in line
 
 
 def test_cli_step_rejects_plain_automaton():

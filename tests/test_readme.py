@@ -1,0 +1,17 @@
+"""The README's Python API example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_block_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "gamma -> ('gamma',)",
+        "beta -> ('beta',)",
+        "alpha -> ()",
+    ]

@@ -64,9 +64,27 @@ def test_supervisor_is_nonblocking(structure):
     assert {st.name for st in sup.states} == coaccessible
 
 
+def _all_y(structure, state_name):
+    parts = structure.tuple_map[state_name]
+    return all(comp.origins[part] == "Y" for comp, part in zip(structure.components, parts))
+
+
 def test_marked_states_are_all_y_tuples(structure):
     for st in structure.supervisor.states:
-        assert st.marked == structure.all_y(st.name)
+        assert st.marked == _all_y(structure, st.name)
+
+
+def test_marked_states_are_all_y_tuples_on_random_pairs():
+    # the runtime reads Y from the marked flag, so the property must hold on
+    # every supervisor synthesis builds, not only on the demo pair
+    nonempty = 0
+    for seed in range(20):
+        for k in range(3):
+            m = synthesize_modular_edit_structure(list(random_pair(RandomSpec(seed=seed))), k)
+            for st in m.supervisor.states:
+                assert st.marked == _all_y(m, st.name)
+            nonempty += not m.is_empty()
+    assert nonempty >= 15
 
 
 def test_uncontrollable_branch_to_blocking_state_is_cut():

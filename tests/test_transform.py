@@ -13,8 +13,6 @@ from opacedit import (
     DecoratedEvent,
     InvalidAutomaton,
     State,
-    abstract_component,
-    augment_missing_insertions,
     build_constraint_automaton,
     build_largest_tpo,
     demo_pair,
@@ -29,7 +27,7 @@ from opacedit.cli import main
 from opacedit.documents import serialize_automaton
 from opacedit.oracle import RandomSpec, random_pair, random_system
 from opacedit.synthesis import encode_components
-from opacedit.tpo import TpoState, W, Y, Z
+from opacedit.tpo import TpoState, Y, Z
 from opacedit.transform import (
     DELIVER,
     DELIVER_ERASED,
@@ -155,27 +153,9 @@ def test_modular_own_decisions_present(structure):
     assert "erz:alpha@alpha" in labels0 and "erz:alpha@alpha" in labels1
 
 
-def test_augment_adds_only_insertion_edges(pair):
-    bundles = [abstract_component(g) for g in pair]
-    tpos = [build_largest_tpo(b.h_obd, b.h_b) for b in bundles]
-    components = transform_modular(
-        tpos, [b.abstracted.events for b in bundles], names=["L", "R"]
-    )
-    spec = build_constraint_automaton(0, components, name="K0")
-    plant = product_plant(components, spec, name="product")
-    augmented = augment_missing_insertions(plant.automaton, plant.tuple_map, tpos, bundles)
-    old_edges = set(plant.automaton.transitions)
-    new_edges = set(augmented.transitions)
-    assert old_edges <= new_edges
-    assert augmented.states == plant.automaton.states
-    for _, label, _ in new_edges - old_edges:
-        assert parse_decorated(label).kind == "insert"
-
-
 # Reference copies of the encoding as it was built in two steps: a monolithic
 # builder, then a modular pass that rebuilt each component with the foreign
-# events added; and of the insertion recovery that parsed estimates back out
-# of state names.  The single builder must reproduce them exactly.
+# events added.  The single builder must reproduce them exactly.
 
 
 def _reference_monolithic(t, name=None):
@@ -266,79 +246,6 @@ def _reference_modular(ts, alphabets, names=None):
     return tuple(results)
 
 
-def _reference_augment(product, tuple_map, components, bundles, name=None):
-    observers = [bundle.h_obd.automaton for bundle in bundles]
-    knows = [{ev.name for ev in bundle.component.events} for bundle in bundles]
-    parsed = [dict(comp.origins) for comp in components]
-
-    def split_y(state_name):
-        inner = state_name[1:-1]
-        depth = 0
-        for pos, ch in enumerate(inner):
-            if ch in "({":
-                depth += 1
-            elif ch in ")}":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return inner[:pos], inner[pos + 1 :]
-        raise ValueError(f"cannot split state name {state_name!r}")
-
-    events = {ev.name: ev for ev in product.events}
-    added = []
-    existing = set(product.transitions)
-    for prod_state, parts in tuple_map.items():
-        comp_states = parts[: len(components)]
-        kinds = [parsed[i][comp_states[i]] for i in range(len(components))]
-        if any(kind == W for kind in kinds):
-            continue
-        pending = None
-        for i, kind in enumerate(kinds):
-            if kind == Z:
-                pending = comp_states[i].rsplit(",", 1)[1][:-1]
-                break
-        if pending is None:
-            continue
-        for sigma in sorted(set().union(*knows)):
-            movers = [i for i in range(len(components)) if sigma in knows[i]]
-            if not movers:
-                continue
-            targets = list(comp_states)
-            ok = True
-            for i in movers:
-                if kinds[i] != Y:
-                    ok = False
-                    break
-                x_d, x_f = split_y(comp_states[i])
-                nxt = observers[i].successors(x_d, sigma)
-                if not nxt:
-                    ok = False
-                    break
-                targets[i] = f"({nxt[0]},{x_f})"
-            if not ok:
-                continue
-            target_tuple = tuple(targets) + tuple(parts[len(components) :])
-            target_name = None
-            for cand, cand_parts in tuple_map.items():
-                if cand_parts == target_tuple:
-                    target_name = cand
-                    break
-            if target_name is None:
-                continue
-            dec = DecoratedEvent(kind=INSERT, base=sigma, context=pending)
-            if dec.name not in events:
-                events[dec.name] = dec.event()
-            edge = (prod_state, dec.name, target_name)
-            if edge not in existing:
-                added.append(edge)
-                existing.add(edge)
-    return Automaton(
-        name=name or f"{product.name}+ins",
-        events=tuple(sorted(events.values(), key=lambda ev: ev.name)),
-        states=product.states,
-        transitions=tuple(list(product.transitions) + added),
-    )
-
-
 def _assert_same_encodings(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -348,8 +255,8 @@ def _assert_same_encodings(got, want):
 
 
 def _assert_one_path(systems):
-    """The single builder and the new insertion recovery agree with the
-    reference copies; returns the K0 product and its augmented version."""
+    """The single builder agrees with the reference copies; returns the K0
+    product of the components."""
     bundles, tpos, components = encode_components(systems)
     alphabets = [b.abstracted.events for b in bundles]
     names = [f"{g.name}^T" for g in systems]
@@ -357,33 +264,27 @@ def _assert_one_path(systems):
     for t in tpos:
         _assert_same_encodings((transform_monolithic(t),), (_reference_monolithic(t),))
     spec = build_constraint_automaton(0, components, name="K0")
-    plant = product_plant(components, spec, name="product")
-    augmented = augment_missing_insertions(plant.automaton, plant.tuple_map, tpos, bundles)
-    assert augmented == _reference_augment(plant.automaton, plant.tuple_map, components, bundles)
-    return plant.automaton, augmented
+    return product_plant(components, spec, name="product").automaton
 
 
 def _counts(systems):
-    product, augmented = _assert_one_path(systems)
-    return bool(product.states), len(augmented.transitions) > len(product.transitions)
+    return bool(_assert_one_path(systems).states)
 
 
 def test_one_path_matches_reference_on_demo_pair():
-    assert _counts(list(demo_pair())) == (True, True)
+    assert _counts(list(demo_pair()))
 
 
 def test_one_path_matches_reference_on_random_pairs():
     counts = [_counts(list(random_pair(RandomSpec(seed=seed)))) for seed in range(20)]
-    # floors: most seeds give an empty product, so a generator change must
+    # floor: most seeds give an empty product, so a generator change must
     # not quietly leave these checks with nothing to compare
-    assert sum(nonempty for nonempty, _ in counts) >= 9
-    assert sum(augmented for _, augmented in counts) >= 4
+    assert sum(counts) >= 9
 
 
 def test_one_path_matches_reference_on_rings_of_three(ring):
     counts = [_counts(ring(seed)) for seed in range(16)]
-    assert sum(nonempty for nonempty, _ in counts) >= 12
-    assert sum(augmented for _, augmented in counts) >= 7
+    assert sum(counts) >= 12
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -420,16 +321,17 @@ def _renamed(g, table):
     )
 
 
-def _augmented_product(files, prefix):
-    result = CliRunner().invoke(
-        main, ["transform", "--modular", "--augment-remark2", *files, "-o", prefix]
-    )
+def _modular_components(files, prefix):
+    result = CliRunner().invoke(main, ["transform", "--modular", *files, "-o", prefix])
     assert result.exit_code == 0, result.output
-    with open(f"{prefix}.product.json", encoding="utf-8") as handle:
-        return json.load(handle)
+    components = []
+    for i in range(len(files)):
+        with open(f"{prefix}.{i}.json", encoding="utf-8") as handle:
+            components.append(json.load(handle)["automaton"])
+    return components
 
 
-def test_augment_handles_state_names_with_brackets_and_commas(tmp_path):
+def test_modular_transform_handles_state_names_with_brackets_and_commas(tmp_path):
     # the estimates of these states are named like ({q(0},{q(0}), which the
     # library's own name syntax cannot be split back into its two fields
     g1, g2 = demo_pair()
@@ -443,9 +345,12 @@ def test_augment_handles_state_names_with_brackets_and_commas(tmp_path):
             path = tmp_path / f"{kind}-{g.name}.json"
             path.write_text(serialize_automaton(system), encoding="utf-8")
             files[kind].append(str(path))
-    plain = _augmented_product(files["plain"], str(tmp_path / "plain"))
-    odd = _augmented_product(files["odd"], str(tmp_path / "odd"))
-    assert len(odd["states"]) == len(plain["states"])
-    assert sorted(label for _, label, _ in odd["transitions"]) == sorted(
-        label for _, label, _ in plain["transitions"]
-    )
+    plain = _modular_components(files["plain"], str(tmp_path / "plain"))
+    odd = _modular_components(files["odd"], str(tmp_path / "odd"))
+    assert len(odd) == len(plain) == 2
+    for got, want in zip(odd, plain):
+        assert len(got["states"]) == len(want["states"])
+        assert len(got["transitions"]) == len(want["transitions"])
+        assert sorted(label for _, label, _ in got["transitions"]) == sorted(
+            label for _, label, _ in want["transitions"]
+        )
