@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 property violated (non-opaque input, failing suite),
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -235,14 +236,11 @@ def step_command(structure: str, policy: str, seed: int | None) -> None:
         if not line.startswith("event "):
             click.echo(f"error: expected 'event <name> [! <decisions>]', got {line!r}")
             continue
-        rest = line[len("event ") :].strip()
-        overrides = None
-        if "!" in rest:
-            name, _, decisions = rest.partition("!")
-            rest = name.strip()
-            overrides = [d.strip() for d in decisions.split(",") if d.strip()]
+        # Only a "!" between blanks separates the decisions: "!" may occur in names.
+        name, *forced = re.split(r"\s!(?:\s|$)", line[len("event ") :].strip(), maxsplit=1)
+        overrides = [d.strip() for d in forced[0].split(",") if d.strip()] if forced else None
         try:
-            result = step(session, rest, overrides=overrides)
+            result = step(session, name.strip(), overrides=overrides)
         except StepError as err:
             click.echo(f"error: {err}")
             continue

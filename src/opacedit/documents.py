@@ -255,7 +255,7 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
         if _ENDPOINTS[cls] != ((source.kind, source.erased), (target.kind, target.erased)):
             _fail(f"{here}[1]", f"class {cls!r} does not fit {src!r} -> {dst!r}")
         transitions.append(TpoTransition(source, cls, label, target))
-    initial = doc.get("initial")
+    initial = _optional_string(doc.get("initial"), f"{path}.initial")
     if initial is not None and initial not in by_name:
         _fail(f"{path}.initial", f"unknown state {initial!r}")
     return Tpo(

@@ -47,7 +47,6 @@ class StepError(ValueError):
 
 @dataclass
 class Session:
-    structure: ModularEditStructure
     policy: str
     rng: random.Random
     insertion_budget: int
@@ -96,7 +95,6 @@ def open_session(
     y_states = supervisor.marked_states
     z_states = len(supervisor.states) - len(y_states)
     return Session(
-        structure=m,
         policy=policy,
         rng=random.Random(seed),
         insertion_budget=max(2, 2 * z_states),
@@ -111,138 +109,105 @@ def _enabled(session: Session, kinds: tuple[str, ...]) -> list[tuple[str, Decora
     return [item for item in session.outgoing(session.current) if item[1].kind in kinds]
 
 
-def _fire(session: Session, edge: tuple[str, DecoratedEvent, str], emitted: list[str]) -> None:
-    label, dec, target = edge
-    session.trace.append(label)
-    session.current = target
-    if dec.kind == INSERT:
-        emitted.append(dec.base)
-    elif dec.kind == DELIVER:
-        emitted.append(dec.base)
-
-
 def _chain_to_decision(
     session: Session, want: tuple[str, ...]
 ) -> list[tuple[str, DecoratedEvent, str]] | None:
     """Shortest chain of insert edges leading to a state with an enabled
     decision among ``want``; ties broken by lexicographic edge order."""
-    start = session.current
-    parents: dict[str, tuple[str, tuple[str, DecoratedEvent, str]] | None] = {start: None}
-    queue = deque([start])
+    chains: dict[str, list[tuple[str, DecoratedEvent, str]]] = {session.current: []}
+    queue = deque([session.current])
     while queue:
         here = queue.popleft()
         for edge in session.outgoing(here):
-            label, dec, target = edge
-            if dec.kind in want:
-                chain: list[tuple[str, DecoratedEvent, str]] = [edge]
-                cursor = here
-                while parents[cursor] is not None:
-                    prev, via = parents[cursor]
-                    chain.insert(0, via)
-                    cursor = prev
-                return chain
+            if edge[1].kind in want:
+                return chains[here] + [edge]
         for edge in session.outgoing(here):
-            label, dec, target = edge
-            if dec.kind == INSERT and target not in parents:
-                parents[target] = (here, edge)
-                queue.append(target)
+            if edge[1].kind == INSERT and edge[2] not in chains:
+                chains[edge[2]] = chains[here] + [edge]
+                queue.append(edge[2])
     return None
 
 
-def _policy_decisions(session: Session, emitted: list[str]) -> None:
-    """Run decisions per the session policy until the components return to Y."""
-    inserted = 0
-    while not session.at_y():
-        deliveries = _enabled(session, (DELIVER, DELIVER_ERASED))
-        if deliveries:
-            _fire(session, deliveries[0], emitted)
-            continue
-        if session.policy == "pass-through":
-            chain = _chain_to_decision(session, (STOP,))
-            if chain is None:
-                chain = _chain_to_decision(session, (ERASE,))
-            if chain is None:
-                raise StepError(f"no decision available at {session.current}")
-            for edge in chain:
-                _fire(session, edge, emitted)
-            continue
-        decisions = _enabled(session, (INSERT, STOP, ERASE))
-        if inserted >= session.insertion_budget:
-            closers = [d for d in decisions if d[1].kind in (STOP, ERASE)]
-            if closers:
-                decisions = closers
-            else:
-                chain = _chain_to_decision(session, (STOP, ERASE))
-                if chain is None:
-                    raise StepError(f"no decision available at {session.current}")
-                for edge in chain:
-                    _fire(session, edge, emitted)
-                continue
+def _policy_chain(session: Session, inserted: int) -> list[tuple[str, DecoratedEvent, str]] | None:
+    """The decisions the session policy takes next at the current state, after
+    ``inserted`` policy insertions in this step: one decision, or a chain of
+    insertions ending in a stop or an erasure.  None when there is none."""
+    if session.policy == "pass-through":
+        return _chain_to_decision(session, (STOP,)) or _chain_to_decision(session, (ERASE,))
+    decisions = _enabled(session, (INSERT, STOP, ERASE))
+    if inserted >= session.insertion_budget:
+        decisions = [d for d in decisions if d[1].kind in (STOP, ERASE)]
         if not decisions:
-            raise StepError(f"no decision available at {session.current}")
-        if session.policy == "random":
-            edge = session.rng.choice(decisions)
-        else:
-            edge = decisions[0]
-        if edge[1].kind == INSERT:
-            inserted += 1
-        _fire(session, edge, emitted)
+            return _chain_to_decision(session, (STOP, ERASE))
+    if not decisions:
+        return None
+    if session.policy == "random":
+        return [session.rng.choice(decisions)]
+    return decisions[:1]
 
 
 def step(session: Session, event: str, overrides: Sequence[str] | None = None) -> StepResult:
     """Feed one genuine system event through the edit structure.
 
     ``overrides`` forces the leading decisions by their decorated names; once
-    exhausted the session policy finishes the step.  The session state only
-    changes when the whole step succeeds.
+    exhausted the session policy finishes the step.  Pending deliveries fire
+    before any decision.  The session state only changes when the whole step
+    succeeds.
     """
     saved_state, saved_depth = session.current, len(session.trace)
     emitted: list[str] = []
+    decisions: list[str] = []
+    forced = deque(overrides or ())
+    inserted = 0
     try:
         if not session.at_y():
             raise StepError(f"session is mid-decision at {session.current}")
-        arrivals = [
+        turn = [
             item
             for item in session.outgoing(session.current)
             if item[1].kind == SYSTEM and item[1].base == event
-        ]
-        if not arrivals:
+        ][:1]
+        if not turn:
             if event not in session._decorations:
                 raise StepError(f"unknown event {event!r}")
             raise StepError(f"event {event!r} is not enabled at {session.current}")
-        _fire(session, arrivals[0], emitted)
-        for forced in overrides or ():
-            while not session.at_y():
-                deliveries = _enabled(session, (DELIVER, DELIVER_ERASED))
-                if not deliveries:
-                    break
-                _fire(session, deliveries[0], emitted)
+        while True:
+            for label, dec, target in turn:
+                session.trace.append(label)
+                session.current = target
+                if dec.kind in (INSERT, DELIVER):
+                    emitted.append(dec.base)
+                if dec.kind in (INSERT, STOP, ERASE):
+                    decisions.append(label)
             if session.at_y():
-                raise StepError(f"decision {forced!r} comes after the step completed")
-            enabled = {
-                item[0]: item
-                for item in _enabled(session, (INSERT, STOP, ERASE))
-            }
-            if forced not in enabled:
-                choices = ", ".join(sorted(enabled)) or "none"
-                raise StepError(
-                    f"decision {forced!r} is not permitted at {session.current} (enabled: {choices})"
-                )
-            _fire(session, enabled[forced], emitted)
-        _policy_decisions(session, emitted)
+                break
+            deliveries = _enabled(session, (DELIVER, DELIVER_ERASED))
+            if deliveries:
+                turn = deliveries[:1]
+            elif forced:
+                wanted = forced.popleft()
+                enabled = {item[0]: item for item in _enabled(session, (INSERT, STOP, ERASE))}
+                if wanted not in enabled:
+                    choices = ", ".join(sorted(enabled)) or "none"
+                    raise StepError(
+                        f"decision {wanted!r} is not permitted at {session.current} (enabled: {choices})"
+                    )
+                turn = [enabled[wanted]]
+            else:
+                turn = _policy_chain(session, inserted)
+                if turn is None:
+                    raise StepError(f"no decision available at {session.current}")
+                # a chain ends in a stop or an erasure: single picks spend the budget
+                inserted += turn[-1][1].kind == INSERT
+        if forced:
+            raise StepError(f"decision {forced[0]!r} comes after the step completed")
     except StepError:
         session.current = saved_state
         del session.trace[saved_depth:]
         raise
     session.consumed.append(event)
     session.emitted.extend(emitted)
-    decision_kinds = (INSERT, STOP, ERASE)
-    decisions = tuple(
-        label
-        for label in session.trace[saved_depth:]
-        if session._decorations[label].kind in decision_kinds
-    )
-    return StepResult(emitted=tuple(emitted), state=session.current, decisions=decisions)
+    return StepResult(emitted=tuple(emitted), state=session.current, decisions=tuple(decisions))
 
 
 def session_trace(session: Session) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:

@@ -196,24 +196,42 @@ def transform_modular(
     products: a decision shared with another component must synchronize, so a
     component that cannot take it blocks it.
 
-    Per component ``i`` the other components add two things: plain system
-    events local to them self-loop at every Y state (so foreign activity
-    cannot block ``i``), and the shared events contextualized by their local
-    events enter the alphabet as insert/deliver/deliver-erased decorations with
-    no transitions (so such decisions are disabled in the product rather than
-    taken unilaterally).  With a single component neither applies, which is
-    the monolithic encoding.
+    Per component ``i`` the other components add two things: observable
+    system events local to them self-loop at every Y state (so foreign
+    activity cannot block ``i``), and the shared events contextualized by their
+    local events enter the alphabet as insert/deliver/deliver-erased
+    decorations with no transitions (so such decisions are disabled in the
+    product rather than taken unilaterally).  With a single component neither
+    applies, which is the monolithic encoding.
+
+    Components may share an event only if both declare it observable and with
+    the same flags: with a shared unobservable event the observer of the
+    product is finer than the product of the observers, and the edit function
+    is unsafe.  An unobservable event stays private to its component and
+    invisible to the edit function.
     """
-    sigma = [{ev.name for ev in alphabet} for alphabet in alphabets]
-    for i, declared in enumerate(sigma):
-        reserved = sorted(label for label in declared if not is_plain_event_name(label))
+    declared = [{ev.name: ev for ev in alphabet} for alphabet in alphabets]
+    for i, events in enumerate(declared):
+        reserved = sorted(label for label in events if not is_plain_event_name(label))
         if reserved:
             raise InvalidAutomaton(
                 f"component {i}: event name {reserved[0]!r} is reserved: names may not contain"
                 " '@' or start with 'ins:', 'erz:', 'out:' or 'drop:'"
             )
-        if not {ev.name for ev in ts[i].events} <= declared:
+        if not {ev.name for ev in ts[i].events} <= events.keys():
             raise InvalidAutomaton(f"component {i}: TPO alphabet not covered by declared alphabet")
+        for j in range(i):
+            for label in sorted(events.keys() & declared[j].keys()):
+                if events[label] != declared[j][label]:
+                    raise InvalidAutomaton(
+                        f"event {label!r} declared with conflicting flags in components {j} and {i}"
+                    )
+                if not events[label].observable:
+                    raise InvalidAutomaton(
+                        f"event {label!r} is unobservable and shared by components {j} and {i}:"
+                        " a shared event must be observable"
+                    )
+    sigma = [{label for label, ev in events.items() if ev.observable} for events in declared]
     results = []
     for i, t in enumerate(ts):
         rendered = state_names(t.states)

@@ -1,5 +1,6 @@
 """JSON documents, DOT export and the command-line surface."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from opacedit import (
     RandomSpec,
     build_largest_tpo,
     demo_g1,
+    demo_g2,
     desired_observer,
     determinize,
     export_dot,
@@ -24,6 +26,7 @@ from opacedit import (
     parse_automaton,
     parse_document,
     prune_to_aes,
+    random_pair,
     random_system,
     serialize_automaton,
     serialize_document,
@@ -40,6 +43,11 @@ def test_data_files_round_trip():
     for path in (G1, G2):
         text = Path(path).read_text(encoding="utf-8")
         assert serialize_automaton(parse_automaton(text)) == text
+
+
+def test_data_files_hold_the_demo_pair():
+    for path, g in ((G1, demo_g1()), (G2, demo_g2())):
+        assert Path(path).read_text(encoding="utf-8") == serialize_automaton(g)
 
 
 def test_automaton_round_trip_is_identity(g1):
@@ -289,6 +297,22 @@ def test_cli_synthesize_and_step(tmp_path):
     assert lines[0].startswith("state ")
 
 
+def test_cli_step_reads_event_names_that_contain_the_separator(tmp_path):
+    bang = Automaton(
+        name="bang",
+        events=(Event("go!"),),
+        states=(State("s0", initial=True), State("s1")),
+        transitions=(("s0", "go!", "s1"), ("s1", "go!", "s0")),
+    )
+    path, out = tmp_path / "bang.json", tmp_path / "structure.json"
+    path.write_text(serialize_automaton(bang), encoding="utf-8")
+    assert runner().invoke(main, ["synthesize", str(path), "-k", "1", "-o", str(out)]).exit_code == 0
+    repl = runner().invoke(main, ["step", str(out)], input="event go!\nevent go! ! stop@go!\n")
+    assert repl.exit_code == 0
+    lines = repl.output.splitlines()
+    assert [line for line in lines if not line.startswith("state ")] == ["emit go!", "emit go!"]
+
+
 def test_cli_synthesize_unenforceable_exit_three(tmp_path):
     from opacedit import Automaton, Event, State
 
@@ -302,6 +326,29 @@ def test_cli_synthesize_unenforceable_exit_three(tmp_path):
     path.write_text(serialize_automaton(exposed), encoding="utf-8")
     result = runner().invoke(main, ["synthesize", str(path), "-k", "1"])
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "hidden, message",
+    [
+        ((True, True), "event 'b' is unobservable and shared by components 0 and 1"),
+        ((False, True), "event 'b' declared with conflicting flags in components 0 and 1"),
+    ],
+    ids=["shared-unobservable", "conflicting-flags"],
+)
+def test_cli_synthesize_rejects_unobservable_or_conflicting_shared_event(tmp_path, hidden, message):
+    # ``b`` is the one event the two components share
+    files = []
+    for i, (g, hide) in enumerate(zip(random_pair(RandomSpec(seed=0, max_states=4)), hidden)):
+        events = tuple(
+            dataclasses.replace(ev, observable=False) if hide and ev.name == "b" else ev
+            for ev in g.events
+        )
+        path = tmp_path / f"g{i}.json"
+        path.write_text(serialize_automaton(dataclasses.replace(g, events=events)), encoding="utf-8")
+        files.append(str(path))
+    line = _single_error_line(runner().invoke(main, ["synthesize", *files, "-k", "1"]))
+    assert message in line
 
 
 COLLIDING = {
@@ -479,6 +526,14 @@ def _set_boolean_count(doc):
     return "$.states[0].count: expected an integer, got True"
 
 
+def _set_initial(value):
+    def edit(doc):
+        doc["initial"] = value
+        return "$.initial: expected a string"
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -491,8 +546,22 @@ def _set_boolean_count(doc):
         _drop_pending_event,
         _deliver_after_erasure,
         _set_boolean_count,
+        _set_initial([]),
+        _set_initial({}),
     ],
-    ids=["kind", "event", "action", "collision", "bogus", "zz", "z-event", "wy1-erased", "count"],
+    ids=[
+        "kind",
+        "event",
+        "action",
+        "collision",
+        "bogus",
+        "zz",
+        "z-event",
+        "wy1-erased",
+        "count",
+        "initial-list",
+        "initial-object",
+    ],
 )
 def test_cli_export_dot_rejects_invalid_tpo_document(tmp_path, edit):
     result = runner().invoke(main, ["tpo", G1])

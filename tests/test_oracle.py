@@ -10,6 +10,7 @@ from opacedit import (
     Event,
     RandomSpec,
     State,
+    StepError,
     check_desired_observer_sync,
     check_modular_inclusion,
     check_observer_sync,
@@ -17,9 +18,11 @@ from opacedit import (
     check_supervisor_equals_aes,
     check_tpo_abstraction,
     demo_pair,
+    open_session,
     random_pair,
     random_system,
     run_suite,
+    step,
     synthesize_modular_edit_structure,
 )
 
@@ -101,6 +104,41 @@ def test_private_safety_on_fixture():
     assert not report.empty
     assert report.strings_checked > 0
     assert report.sessions_checked > 0
+
+
+@pytest.mark.parametrize("size, floor", [(3, 8), (4, 7)])
+def test_private_safety_on_rings(ring, size, floor):
+    non_empty = 0
+    for seed in range(12):
+        systems = ring(seed, size)
+        m = synthesize_modular_edit_structure(systems, max_erasures=1)
+        report = check_private_safety(m, systems, depth=4)
+        assert report.violations == (), f"ring of {size}, seed {seed}"
+        non_empty += not report.empty
+    assert non_empty >= floor
+
+
+def _hidden(g, name):
+    events = tuple(dataclasses.replace(ev, observable=False) if ev.name == name else ev for ev in g.events)
+    return dataclasses.replace(g, events=events)
+
+
+def test_private_unobservable_event_stays_private():
+    # ``a`` is the left component's private letter; once unobservable the
+    # edit function can neither see it nor replay it for the other component
+    non_empty = 0
+    for seed in range(40):
+        left, right = random_pair(RandomSpec(seed=seed, max_states=4, alphabet_size=3))
+        systems = [_hidden(left, "a"), right]
+        m = synthesize_modular_edit_structure(systems, max_erasures=1)
+        report = check_private_safety(m, systems, depth=5)
+        assert report.violations == (), f"seed {seed}"
+        if report.empty:
+            continue
+        non_empty += 1
+        with pytest.raises(StepError, match="unknown event 'a'"):
+            step(open_session(m), "a")
+    assert non_empty >= 20
 
 
 def test_private_safety_flags_unsafe_supervisor():
