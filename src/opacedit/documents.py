@@ -11,16 +11,21 @@ with event flags defaulting to true, state flags to false, and "tau" legal on
 transitions but never under events.  Parsing and serialization are exact
 inverses: field order, list order and flags survive a round trip.  Other
 document kinds carry a "kind" field; all but "tpo" embed automaton documents.
+
+Documents are written row by row, one f-string per event, state, transition,
+``tuple_map`` entry or origin, into the exact bytes of
+``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``: with an indent,
+``json.dumps`` runs its pure-Python encoder over every value.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from json.encoder import encode_basestring
 from operator import getitem
 from typing import Any
 
-from .automata import Automaton, Event, InvalidAutomaton, State
+from .automata import TAU, Automaton, Event, InvalidAutomaton, State
 from .synthesis import ModularEditStructure
 from .tpo import (
     KINDS, W, WY1, WY2, Y, YZ, Z, ZW1, ZW2, ZZ, Tpo, TpoState, TpoTransition, state_names,
@@ -70,26 +75,54 @@ def _optional_string(value: Any, path: str) -> str | None:
     return None if value is None else _expect_string(value, path)
 
 
+# The readers below check each entry's types inline and format no path for
+# it; an entry that fails the inline check goes through the ``_expect_*``
+# reader, which raises at the entry's path (or accepts the few values the
+# inline check leaves to it, such as a ``dict`` subclass).
+_FLAG = (bool, type(None))
+_OPTIONAL_STRING = (str, type(None))
+_OPTIONAL_INT = (int, type(None))
+
+
+def _event_from_dict(entry: Any, here: str) -> Event:
+    entry = _expect_object(entry, here)
+    return Event(
+        name=_expect_string(entry.get("name"), f"{here}.name"),
+        observable=_expect_bool(entry.get("observable"), f"{here}.observable", True),
+        controllable=_expect_bool(entry.get("controllable"), f"{here}.controllable", True),
+    )
+
+
 def _events_from_dict(doc: dict, path: str) -> tuple[Event, ...]:
     events = []
     for i, entry in enumerate(_expect_list(doc.get("events", []), f"{path}.events")):
-        here = f"{path}.events[{i}]"
-        entry = _expect_object(entry, here)
-        events.append(
-            Event(
-                name=_expect_string(entry.get("name"), f"{here}.name"),
-                observable=_expect_bool(entry.get("observable"), f"{here}.observable", True),
-                controllable=_expect_bool(entry.get("controllable"), f"{here}.controllable", True),
-            )
-        )
+        if (
+            type(entry) is dict
+            and type(name := entry.get("name")) is str
+            and type(observable := entry.get("observable")) in _FLAG
+            and type(controllable := entry.get("controllable")) in _FLAG
+        ):
+            events.append(Event(name, observable is not False, controllable is not False))
+        else:
+            events.append(_event_from_dict(entry, f"{path}.events[{i}]"))
     return tuple(events)
 
 
-def _events_to_list(events: tuple[Event, ...]) -> list[dict]:
-    return [
-        {"name": ev.name, "observable": ev.observable, "controllable": ev.controllable}
-        for ev in events
-    ]
+def _state_from_dict(entry: Any, here: str) -> State:
+    entry = _expect_object(entry, here)
+    return State(
+        name=_expect_string(entry.get("name"), f"{here}.name"),
+        initial=_expect_bool(entry.get("initial"), f"{here}.initial", False),
+        marked=_expect_bool(entry.get("marked"), f"{here}.marked", False),
+        secret=_expect_bool(entry.get("secret"), f"{here}.secret", False),
+    )
+
+
+def _string_row(entry: Any, here: str, fields: tuple[str, ...]) -> tuple[str, ...]:
+    entry = _expect_list(entry, here)
+    if len(entry) != len(fields):
+        _fail(here, f"expected [{', '.join(fields)}], got {len(entry)} items")
+    return tuple(_expect_string(item, f"{here}[{j}]") for j, item in enumerate(entry))
 
 
 def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
@@ -98,28 +131,30 @@ def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
     events = _events_from_dict(doc, path)
     states = []
     for i, entry in enumerate(_expect_list(doc.get("states", []), f"{path}.states")):
-        here = f"{path}.states[{i}]"
-        entry = _expect_object(entry, here)
-        states.append(
-            State(
-                name=_expect_string(entry.get("name"), f"{here}.name"),
-                initial=_expect_bool(entry.get("initial"), f"{here}.initial", False),
-                marked=_expect_bool(entry.get("marked"), f"{here}.marked", False),
-                secret=_expect_bool(entry.get("secret"), f"{here}.secret", False),
-            )
-        )
+        if (
+            type(entry) is dict
+            and type(state_name := entry.get("name")) is str
+            and type(initial := entry.get("initial")) in _FLAG
+            and type(marked := entry.get("marked")) in _FLAG
+            and type(secret := entry.get("secret")) in _FLAG
+        ):
+            states.append(State(state_name, initial is True, marked is True, secret is True))
+        else:
+            states.append(_state_from_dict(entry, f"{path}.states[{i}]"))
     # Unknown states and undeclared events are left to ``Automaton``, whose
     # error names ``transitions[i]``.
     transitions = []
     for i, entry in enumerate(_expect_list(doc.get("transitions", []), f"{path}.transitions")):
-        here = f"{path}.transitions[{i}]"
-        entry = _expect_list(entry, here)
-        if len(entry) != 3:
-            _fail(here, f"expected [source, event, target], got {len(entry)} items")
-        src = _expect_string(entry[0], f"{here}[0]")
-        label = _expect_string(entry[1], f"{here}[1]")
-        dst = _expect_string(entry[2], f"{here}[2]")
-        transitions.append((src, label, dst))
+        if (
+            type(entry) is list
+            and len(entry) == 3
+            and type(entry[0]) is str
+            and type(entry[1]) is str
+            and type(entry[2]) is str
+        ):
+            transitions.append(tuple(entry))
+        else:
+            transitions.append(_string_row(entry, f"{path}.transitions[{i}]", ("source", "event", "target")))
     try:
         return Automaton(
             name=name,
@@ -131,22 +166,15 @@ def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
         raise DocumentError(f"{path}: {err}") from err
 
 
-def automaton_to_dict(a: Automaton) -> dict:
-    return {
-        "name": a.name,
-        "events": _events_to_list(a.events),
-        "states": [
-            {"name": st.name, "initial": st.initial, "marked": st.marked, "secret": st.secret}
-            for st in a.states
-        ],
-        "transitions": [[src, label, dst] for src, label, dst in a.transitions],
-    }
-
-
 def _load_json(text: str) -> Any:
+    """Decode ``text``.  Valid JSON the decoder still cannot hold, nested
+    deeper than the recursion limit or with an integer longer than
+    ``sys.get_int_max_str_digits()``, is a document error too."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except RecursionError as err:
+        raise DocumentError("invalid JSON: nested too deeply") from err
+    except ValueError as err:  # JSONDecodeError is a ValueError
         raise DocumentError(f"invalid JSON: {err}") from err
 
 
@@ -164,30 +192,6 @@ def parse_automaton(text: str) -> Automaton:
     return automaton_from_dict(doc)
 
 
-def serialize_automaton(a: Automaton) -> str:
-    """Serialize an automaton so that ``parse_automaton`` reproduces it."""
-    return json.dumps(automaton_to_dict(a), indent=2, ensure_ascii=False) + "\n"
-
-
-def tpo_to_dict(t: Tpo) -> dict:
-    names = state_names(t.states)
-    # A state lists its fields in order, leaving out the unset ones.
-    states = [
-        {key: value for key, value in asdict(st).items() if value is not None and value is not False}
-        for st in t.states
-    ]
-    return {
-        "kind": KIND_TPO,
-        "name": t.name,
-        "events": _events_to_list(t.events),
-        "states": states,
-        "transitions": [
-            [names[tr.source], tr.cls, tr.label, names[tr.target]] for tr in t.transitions
-        ],
-        "initial": None if t.initial is None else names[t.initial],
-    }
-
-
 # Per transition class: the kind and erased flag of its source and target.
 _ENDPOINTS = {
     YZ: ((Y, False), (Z, False)),
@@ -197,6 +201,30 @@ _ENDPOINTS = {
     WY1: ((W, False), (Y, False)),
     WY2: ((W, True), (Y, False)),
 }
+
+
+def _tpo_state_from_dict(entry: Any, here: str) -> TpoState:
+    entry = _expect_object(entry, here)
+    count = entry.get("count")
+    if count is not None and type(count) is not int:  # bool is an int subclass
+        _fail(f"{here}.count", f"expected an integer, got {count!r}")
+    kind = entry.get("kind")
+    if kind not in KINDS:
+        _fail(f"{here}.kind", f"expected one of {', '.join(KINDS)}, got {kind!r}")
+    state = TpoState(
+        kind=kind,
+        x_d=_expect_string(entry.get("x_d"), f"{here}.x_d"),
+        x_f=_expect_string(entry.get("x_f"), f"{here}.x_f"),
+        event=_optional_string(entry.get("event"), f"{here}.event"),
+        action=_optional_string(entry.get("action"), f"{here}.action"),
+        erased=_expect_bool(entry.get("erased"), f"{here}.erased", False),
+        count=count,
+    )
+    if kind == Z and state.event is None:
+        _fail(here, "a Z state needs an event")
+    if kind == W and state.action is None:
+        _fail(here, "a W state needs an action")
+    return state
 
 
 def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
@@ -209,28 +237,22 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
     events = _events_from_dict(doc, path)
     states = []
     for i, entry in enumerate(_expect_list(doc.get("states", []), f"{path}.states")):
-        here = f"{path}.states[{i}]"
-        entry = _expect_object(entry, here)
-        count = entry.get("count")
-        if count is not None and type(count) is not int:  # bool is an int subclass
-            _fail(f"{here}.count", f"expected an integer, got {count!r}")
-        kind = entry.get("kind")
-        if kind not in KINDS:
-            _fail(f"{here}.kind", f"expected one of {', '.join(KINDS)}, got {kind!r}")
-        state = TpoState(
-            kind=kind,
-            x_d=_expect_string(entry.get("x_d"), f"{here}.x_d"),
-            x_f=_expect_string(entry.get("x_f"), f"{here}.x_f"),
-            event=_optional_string(entry.get("event"), f"{here}.event"),
-            action=_optional_string(entry.get("action"), f"{here}.action"),
-            erased=_expect_bool(entry.get("erased"), f"{here}.erased", False),
-            count=count,
-        )
-        if kind == Z and state.event is None:
-            _fail(here, "a Z state needs an event")
-        if kind == W and state.action is None:
-            _fail(here, "a W state needs an action")
-        states.append(state)
+        if (
+            type(entry) is dict
+            and type(count := entry.get("count")) in _OPTIONAL_INT
+            and type(kind := entry.get("kind")) is str
+            and kind in KINDS
+            and type(x_d := entry.get("x_d")) is str
+            and type(x_f := entry.get("x_f")) is str
+            and type(event := entry.get("event")) in _OPTIONAL_STRING
+            and type(action := entry.get("action")) in _OPTIONAL_STRING
+            and type(erased := entry.get("erased")) in _FLAG
+            and (kind != Z or event is not None)
+            and (kind != W or action is not None)
+        ):
+            states.append(TpoState(kind, x_d, x_f, event, action, erased is True, count))
+        else:
+            states.append(_tpo_state_from_dict(entry, f"{path}.states[{i}]"))
     try:
         names = state_names(states)
     except InvalidAutomaton as err:
@@ -238,22 +260,25 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
     by_name = {rendered: st for st, rendered in names.items()}
     transitions = []
     for i, entry in enumerate(_expect_list(doc.get("transitions", []), f"{path}.transitions")):
-        here = f"{path}.transitions[{i}]"
-        entry = _expect_list(entry, here)
-        if len(entry) != 4:
-            _fail(here, f"expected [source, class, label, target], got {len(entry)} items")
-        src, cls, label, dst = (
-            _expect_string(entry[j], f"{here}[{j}]") for j in range(4)
-        )
+        if not (
+            type(entry) is list
+            and len(entry) == 4
+            and type(entry[0]) is str
+            and type(entry[1]) is str
+            and type(entry[2]) is str
+            and type(entry[3]) is str
+        ):
+            entry = _string_row(entry, f"{path}.transitions[{i}]", ("source", "class", "label", "target"))
+        src, cls, label, dst = entry
         if src not in by_name:
-            _fail(f"{here}[0]", f"unknown state {src!r}")
+            _fail(f"{path}.transitions[{i}][0]", f"unknown state {src!r}")
         if dst not in by_name:
-            _fail(f"{here}[3]", f"unknown state {dst!r}")
+            _fail(f"{path}.transitions[{i}][3]", f"unknown state {dst!r}")
         source, target = by_name[src], by_name[dst]
         if cls not in _ENDPOINTS:
-            _fail(f"{here}[1]", f"expected one of {', '.join(_ENDPOINTS)}, got {cls!r}")
+            _fail(f"{path}.transitions[{i}][1]", f"expected one of {', '.join(_ENDPOINTS)}, got {cls!r}")
         if _ENDPOINTS[cls] != ((source.kind, source.erased), (target.kind, target.erased)):
-            _fail(f"{here}[1]", f"class {cls!r} does not fit {src!r} -> {dst!r}")
+            _fail(f"{path}.transitions[{i}][1]", f"class {cls!r} does not fit {src!r} -> {dst!r}")
         transitions.append(TpoTransition(source, cls, label, target))
     initial = _optional_string(doc.get("initial"), f"{path}.initial")
     if initial is not None and initial not in by_name:
@@ -265,14 +290,6 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
         transitions=tuple(transitions),
         initial=None if initial is None else by_name[initial],
     )
-
-
-def transformed_to_dict(t: TransformedAutomaton) -> dict:
-    return {
-        "kind": KIND_TRANSFORMED,
-        "automaton": automaton_to_dict(t.automaton),
-        "origins": dict(t.origins),
-    }
 
 
 def transformed_from_dict(doc: Any, path: str = "$") -> TransformedAutomaton:
@@ -296,19 +313,6 @@ def transformed_from_dict(doc: Any, path: str = "$") -> TransformedAutomaton:
         except ValueError as err:
             _fail(f"{path}.automaton.events[{i}].name", str(err))
     return TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations)
-
-
-def structure_to_dict(m: ModularEditStructure) -> dict:
-    return {
-        "kind": KIND_STRUCTURE,
-        "max_erasures": m.max_erasures,
-        "components": [transformed_to_dict(comp) for comp in m.components],
-        "constraint": automaton_to_dict(m.constraint),
-        "plant": automaton_to_dict(m.plant),
-        "tuple_map": {name: list(parts) for name, parts in m.tuple_map.items()},
-        "supervisor": automaton_to_dict(m.supervisor),
-        "diagnostics": list(m.diagnostics),
-    }
 
 
 def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
@@ -399,15 +403,172 @@ def parse_document(text: str) -> Automaton | Tpo | TransformedAutomaton | Modula
     raise DocumentError(f"$.kind: unknown document kind {kind!r}")
 
 
+# Writing.  Each function appends the rows of one value to ``out``; ``pad``
+# is the indentation of the line the value opens on.  An item row starts with
+# ",\n" and its own indentation; ``_close`` drops the first row's comma.
+
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _close(out: list[str], first: int, pad: str, bracket: str) -> None:
+    """Close the array or object opened at ``out[first - 1]``; an empty one
+    stays on one line, as ``json.dumps`` writes it."""
+    if len(out) == first:
+        out.append(bracket)
+    else:
+        out[first] = out[first][1:]
+        out.append(f"\n{pad}{bracket}")
+
+
+def _write_events(out: list[str], events: tuple[Event, ...], pad: str) -> None:
+    item, field = pad + "  ", pad + "    "
+    out.append("[")
+    first = len(out)
+    out += [
+        f',\n{item}{{\n{field}"name": {encode_basestring(ev.name)},'
+        f'\n{field}"observable": {_JSON_BOOL[ev.observable]},'
+        f'\n{field}"controllable": {_JSON_BOOL[ev.controllable]}\n{item}}}'
+        for ev in events
+    ]
+    _close(out, first, pad, "]")
+
+
+def _write_automaton(out: list[str], a: Automaton, pad: str) -> None:
+    key, item, field = pad + "  ", pad + "    ", pad + "      "
+    out.append(f'{{\n{key}"name": {encode_basestring(a.name)},\n{key}"events": ')
+    _write_events(out, a.events, key)
+    # Each name is encoded once; transitions cite them many times.
+    names = {st.name: encode_basestring(st.name) for st in a.states}
+    labels = {ev.name: encode_basestring(ev.name) for ev in a.events}
+    labels[TAU] = encode_basestring(TAU)
+    out.append(f',\n{key}"states": [')
+    first = len(out)
+    out += [
+        f',\n{item}{{\n{field}"name": {names[st.name]},'
+        f'\n{field}"initial": {_JSON_BOOL[st.initial]},'
+        f'\n{field}"marked": {_JSON_BOOL[st.marked]},'
+        f'\n{field}"secret": {_JSON_BOOL[st.secret]}\n{item}}}'
+        for st in a.states
+    ]
+    _close(out, first, key, "]")
+    out.append(f',\n{key}"transitions": [')
+    first = len(out)
+    out += [
+        f",\n{item}[\n{field}{names[src]},\n{field}{labels[label]},\n{field}{names[dst]}\n{item}]"
+        for src, label, dst in a.transitions
+    ]
+    _close(out, first, key, "]")
+    out.append(f"\n{pad}}}")
+
+
+def _tpo_state_row(st: TpoState, item: str, field: str) -> str:
+    """A state lists its fields in order, leaving out the unset ones."""
+    row = (
+        f',\n{item}{{\n{field}"kind": {encode_basestring(st.kind)},'
+        f'\n{field}"x_d": {encode_basestring(st.x_d)},'
+        f'\n{field}"x_f": {encode_basestring(st.x_f)}'
+    )
+    if st.event is not None:
+        row += f',\n{field}"event": {encode_basestring(st.event)}'
+    if st.action is not None:
+        row += f',\n{field}"action": {encode_basestring(st.action)}'
+    if st.erased:
+        row += f',\n{field}"erased": true'
+    if st.count is not None:
+        row += f',\n{field}"count": {st.count}'
+    return f"{row}\n{item}}}"
+
+
+def _write_tpo(out: list[str], t: Tpo) -> None:
+    names = state_names(t.states)
+    out.append(f'{{\n  "kind": "{KIND_TPO}",\n  "name": {encode_basestring(t.name)},\n  "events": ')
+    _write_events(out, t.events, "  ")
+    out.append(',\n  "states": [')
+    first = len(out)
+    out += [_tpo_state_row(st, "    ", "      ") for st in t.states]
+    _close(out, first, "  ", "]")
+    out.append(',\n  "transitions": [')
+    first = len(out)
+    out += [
+        f",\n    [\n      {encode_basestring(names[tr.source])},"
+        f"\n      {encode_basestring(tr.cls)},"
+        f"\n      {encode_basestring(tr.label)},"
+        f"\n      {encode_basestring(names[tr.target])}\n    ]"
+        for tr in t.transitions
+    ]
+    _close(out, first, "  ", "]")
+    initial = "null" if t.initial is None else encode_basestring(names[t.initial])
+    out.append(f',\n  "initial": {initial}\n}}')
+
+
+def _write_transformed(out: list[str], t: TransformedAutomaton, pad: str) -> None:
+    key, item = pad + "  ", pad + "    "
+    out.append(f'{{\n{key}"kind": "{KIND_TRANSFORMED}",\n{key}"automaton": ')
+    _write_automaton(out, t.automaton, key)
+    out.append(f',\n{key}"origins": {{')
+    first = len(out)
+    out += [
+        f",\n{item}{encode_basestring(name)}: {encode_basestring(origin)}"
+        for name, origin in t.origins.items()
+    ]
+    _close(out, first, key, "}")
+    out.append(f"\n{pad}}}")
+
+
+def _write_structure(out: list[str], m: ModularEditStructure) -> None:
+    out.append(
+        f'{{\n  "kind": "{KIND_STRUCTURE}",'
+        f'\n  "max_erasures": {m.max_erasures},\n  "components": ['
+    )
+    first = len(out)
+    for comp in m.components:
+        out.append(",\n    ")
+        _write_transformed(out, comp, "    ")
+    _close(out, first, "  ", "]")
+    out.append(',\n  "constraint": ')
+    _write_automaton(out, m.constraint, "  ")
+    out.append(',\n  "plant": ')
+    _write_automaton(out, m.plant, "  ")
+    out.append(',\n  "tuple_map": {')
+    first = len(out)
+    sep = ",\n      "
+    out += [
+        f",\n    {encode_basestring(name)}: [\n      {sep.join(map(encode_basestring, parts))}\n    ]"
+        if parts
+        else f",\n    {encode_basestring(name)}: []"
+        for name, parts in m.tuple_map.items()
+    ]
+    _close(out, first, "  ", "}")
+    out.append(',\n  "supervisor": ')
+    _write_automaton(out, m.supervisor, "  ")
+    out.append(',\n  "diagnostics": [')
+    first = len(out)
+    out += [f",\n    {encode_basestring(line)}" for line in m.diagnostics]
+    _close(out, first, "  ", "]")
+    out.append("\n}")
+
+
+def serialize_automaton(a: Automaton) -> str:
+    """Serialize an automaton so that ``parse_automaton`` reproduces it."""
+    out: list[str] = []
+    _write_automaton(out, a, "")
+    out.append("\n")
+    return "".join(out)
+
+
 def serialize_document(x: Automaton | Tpo | TransformedAutomaton | ModularEditStructure) -> str:
+    """The bytes of ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``
+    for the document ``doc`` of ``x``'s kind, written without building it."""
     if isinstance(x, Automaton):
         return serialize_automaton(x)
+    out: list[str] = []
     if isinstance(x, Tpo):
-        doc = tpo_to_dict(x)
+        _write_tpo(out, x)
     elif isinstance(x, TransformedAutomaton):
-        doc = transformed_to_dict(x)
+        _write_transformed(out, x, "")
     elif isinstance(x, ModularEditStructure):
-        doc = structure_to_dict(x)
+        _write_structure(out, x)
     else:
         raise TypeError(f"cannot serialize {type(x).__name__}")
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    out.append("\n")
+    return "".join(out)

@@ -214,6 +214,38 @@ def test_cli_rejects_malformed_document(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        '{"name": "g", "events": [], "states": [], "transitions": [], "x": ' + "9" * 5_000 + "}",
+    ],
+    ids=["deeply-nested", "long-integer"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify-opacity", "{doc}"],
+        ["abstract", "{doc}", "-o", "{tmp}/bundle"],
+        ["tpo", "{doc}"],
+        ["transform", "{doc}"],
+        ["spec-k", "-k", "1", "--plant", "{doc}"],
+        ["synthesize", "-k", "1", "{doc}"],
+        ["step", "{doc}"],
+        ["export-dot", "{doc}"],
+    ],
+    ids=["verify-opacity", "abstract", "tpo", "transform", "spec-k", "synthesize", "step", "export-dot"],
+)
+def test_cli_rejects_valid_json_the_decoder_cannot_hold(tmp_path, text, command):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    result = runner().invoke(main, [arg.format(doc=path, tmp=tmp_path) for arg in command], input="")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    error = result.output.splitlines()[-1]
+    assert error.startswith("Error: ") and ": invalid JSON: " in error
+
+
+@pytest.mark.parametrize(
     "command",
     [["verify-opacity", "{enc}.0.json"], ["spec-k", "-k", "1", "--plant", "{enc}.0.json"]],
 )
