@@ -77,6 +77,8 @@ class Automaton:
                 raise InvalidAutomaton(f"{self.name!r}: empty event name")
             if ev.name in seen_events:
                 raise InvalidAutomaton(f"{self.name!r}: duplicate event {ev.name!r}")
+            if not type(ev.observable) is type(ev.controllable) is bool:
+                raise InvalidAutomaton(f"{self.name!r}: event {ev.name!r} has a flag that is not a bool")
             seen_events.add(ev.name)
         seen_states: set[str] = set()
         for st in self.states:
@@ -84,6 +86,8 @@ class Automaton:
                 raise InvalidAutomaton(f"{self.name!r}: empty state name")
             if st.name in seen_states:
                 raise InvalidAutomaton(f"{self.name!r}: duplicate state {st.name!r}")
+            if not type(st.initial) is type(st.marked) is type(st.secret) is bool:
+                raise InvalidAutomaton(f"{self.name!r}: state {st.name!r} has a flag that is not a bool")
             seen_states.add(st.name)
         for i, (src, label, dst) in enumerate(self.transitions):
             if src not in seen_states:
@@ -115,10 +119,12 @@ class Automaton:
 
     @cached_property
     def _succ(self) -> Mapping[tuple[str, str], tuple[str, ...]]:
-        table: dict[tuple[str, str], list[str]] = {}
+        table: dict[tuple[str, str], tuple[str, ...]] = {}
         for src, label, dst in self.transitions:
-            table.setdefault((src, label), []).append(dst)
-        return {key: tuple(val) for key, val in table.items()}
+            key = (src, label)
+            known = table.get(key)
+            table[key] = (dst,) if known is None else known + (dst,)
+        return table
 
     @cached_property
     def _out(self) -> Mapping[str, tuple[tuple[str, str], ...]]:
@@ -138,9 +144,8 @@ class Automaton:
         """Single initial state, no tau moves, at most one target per (state, event)."""
         if len(self.initial_states) > 1:
             return False
-        if any(label == TAU for _, label, _ in self.transitions):
-            return False
-        return all(len(targets) <= 1 for targets in self._succ.values())
+        # One target per (state, label) exactly when no two transitions share a key.
+        return len(self._succ) == len(self.transitions) and TAU not in {label for _, label in self._succ}
 
     def reachable_states(self) -> frozenset[str]:
         seen = set(self.initial_states)

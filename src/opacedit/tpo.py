@@ -122,75 +122,60 @@ def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
     desired observer is empty even the empty output betrays the secret, so no
     play is winnable and the TPO itself is empty.
     """
-    det_d = obsd.automaton
     det_f = obs.automaton
     if obs.initial is None or obsd.initial is None:
         return Tpo(name=name, events=det_f.events, states=(), transitions=(), initial=None)
-    x_d0 = obsd.initial
-
-    def d_succ(x_d: str, event: str) -> str | None:
-        targets = det_d.successors(x_d, event)
-        return targets[0] if targets else None
-
-    def f_succ(x_f: str, event: str) -> str | None:
-        targets = det_f.successors(x_f, event)
-        return targets[0] if targets else None
-
+    # Each observer's (x, event) -> x'; the first target wins, as in ``successors``.
+    d_next = {(src, label): dst for src, label, dst in reversed(obsd.automaton.transitions)}
+    f_next = {(src, label): dst for src, label, dst in reversed(det_f.transitions)}
     observable = sorted(ev.name for ev in det_f.events if ev.observable)
-    # Each state maps to its first instance, so that transitions share it.
-    states: dict[TpoState, TpoState] = {}
+    # A state is found by its fields and constructed once; transitions share it.
+    index: dict[tuple, TpoState] = {}
     transitions: list[TpoTransition] = []
     queue: deque[TpoState] = deque()
 
-    def admit(state: TpoState) -> TpoState:
-        known = states.get(state)
+    def admit(
+        kind: str, x_d: str, x_f: str, event: str | None = None, action: str | None = None, erased: bool = False
+    ) -> TpoState:
+        key = (kind, x_d, x_f, event, action, erased)
+        known = index.get(key)
         if known is None:
-            states[state] = known = state
-            queue.append(state)
+            index[key] = known = TpoState(kind, x_d, x_f, event, action, erased)
+            queue.append(known)
         return known
 
-    y0 = admit(TpoState(kind=Y, x_d=x_d0, x_f=obs.initial))
+    y0 = admit(Y, obsd.initial, obs.initial)
     while queue:
         here = queue.popleft()
+        x_d, x_f = here.x_d, here.x_f
         if here.kind == Y:
             for event in observable:
-                nxt_f = f_succ(here.x_f, event)
-                if nxt_f is None:
-                    continue
-                z = admit(TpoState(kind=Z, x_d=here.x_d, x_f=here.x_f, event=event))
-                transitions.append(TpoTransition(here, YZ, event, z))
+                if (x_f, event) in f_next:
+                    transitions.append(TpoTransition(here, YZ, event, admit(Z, x_d, x_f, event)))
         elif here.kind == Z:
             pending = here.event
             for theta in observable:
-                nxt_d = d_succ(here.x_d, theta)
-                if nxt_d is None:
-                    continue
-                z = admit(TpoState(kind=Z, x_d=nxt_d, x_f=here.x_f, event=pending))
-                transitions.append(TpoTransition(here, ZZ, theta, z))
-            if d_succ(here.x_d, pending) is not None and f_succ(here.x_f, pending) is not None:
-                w = admit(TpoState(kind=W, x_d=here.x_d, x_f=here.x_f, action=pending))
-                transitions.append(TpoTransition(here, ZW1, EPSILON, w))
-            if f_succ(here.x_f, pending) is not None:
-                w = admit(
-                    TpoState(kind=W, x_d=here.x_d, x_f=here.x_f, action=pending, erased=True)
-                )
+                nxt_d = d_next.get((x_d, theta))
+                if nxt_d is not None:
+                    transitions.append(TpoTransition(here, ZZ, theta, admit(Z, nxt_d, x_f, pending)))
+            if (x_f, pending) in f_next:
+                if (x_d, pending) in d_next:
+                    transitions.append(TpoTransition(here, ZW1, EPSILON, admit(W, x_d, x_f, None, pending)))
+                w = admit(W, x_d, x_f, None, pending, True)
                 transitions.append(TpoTransition(here, ZW2, erasure_symbol(pending), w))
         else:
             event = here.action
-            nxt_f = f_succ(here.x_f, event)
+            nxt_f = f_next.get((x_f, event))
+            if nxt_f is None:
+                continue
             if here.erased:
-                if nxt_f is not None:
-                    y = admit(TpoState(kind=Y, x_d=here.x_d, x_f=nxt_f))
-                    transitions.append(TpoTransition(here, WY2, event, y))
-            else:
-                nxt_d = d_succ(here.x_d, event)
-                if nxt_d is not None and nxt_f is not None:
-                    y = admit(TpoState(kind=Y, x_d=nxt_d, x_f=nxt_f))
-                    transitions.append(TpoTransition(here, WY1, event, y))
+                transitions.append(TpoTransition(here, WY2, event, admit(Y, x_d, nxt_f)))
+            elif (nxt_d := d_next.get((x_d, event))) is not None:
+                transitions.append(TpoTransition(here, WY1, event, admit(Y, nxt_d, nxt_f)))
     return Tpo(
         name=name,
         events=det_f.events,
-        states=tuple(states),
+        states=tuple(index.values()),
         transitions=tuple(transitions),
         initial=y0,
     )

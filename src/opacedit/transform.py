@@ -249,16 +249,26 @@ def transform_modular(
                 DecoratedEvent(kind=ERASE, base=context, context=context),
             ):
                 decorations[dec.name] = dec
+        # Each distinct (class, label, pending event) is decorated and named
+        # once; consecutive transitions from one source look its name up once.
+        labels: dict[tuple[str, str, str | None], str] = {}
         transitions: list[Transition] = []
+        source = src_name = None
         for tr in t.transitions:
-            pending = tr.source.event if tr.source.kind == Z else None
-            dec = _decorate(tr, pending)
-            label = dec.name
-            decorations[label] = dec
-            transitions.append((rendered[tr.source], label, rendered[tr.target]))
+            if tr.source is not source:
+                source = tr.source
+                src_name = rendered[source]
+            key = (tr.cls, tr.label, source.event if source.kind == Z else None)
+            label = labels.get(key)
+            if label is None:
+                dec = _decorate(tr, key[2])
+                labels[key] = label = dec.name
+                decorations[label] = dec
+            transitions.append((src_name, label, rendered[tr.target]))
+        start = rendered.get(t.initial)
         states = tuple(
-            State(name=rendered[st], initial=(st == t.initial), marked=(st.kind == Y), secret=False)
-            for st in t.states
+            State(name=name, initial=(name == start), marked=(st.kind == Y), secret=False)
+            for st, name in rendered.items()
         )
 
         local = sigma[i]
@@ -289,6 +299,6 @@ def transform_modular(
         )
         if not automaton.is_deterministic:
             raise InvalidAutomaton("transformed TPO is not deterministic")
-        origins = {rendered[st]: st.kind for st in t.states}
+        origins = {name: st.kind for st, name in rendered.items()}
         results.append(TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations))
     return tuple(results)

@@ -71,6 +71,45 @@ def test_unknown_transition_endpoint_rejected():
         simple("bad", ["a"], ["s0"], [("s0", "a", "s9")])
 
 
+@pytest.mark.parametrize("flag", ["initial", "marked", "secret"])
+@pytest.mark.parametrize("value", [1, 0, None, "yes"])
+def test_state_flag_must_be_bool(flag, value):
+    with pytest.raises(InvalidAutomaton, match="state 's0' has a flag that is not a bool"):
+        Automaton(name="bad", events=(), states=(State("s0", **{flag: value}),), transitions=())
+
+
+@pytest.mark.parametrize("flag", ["observable", "controllable"])
+@pytest.mark.parametrize("value", [1, 0, None, "yes"])
+def test_event_flag_must_be_bool(flag, value):
+    with pytest.raises(InvalidAutomaton, match="event 'a' has a flag that is not a bool"):
+        Automaton(name="bad", events=(Event("a", **{flag: value}),), states=(), transitions=())
+
+
+def test_successors_keep_transition_order():
+    a = simple(
+        "N",
+        ["a", "b"],
+        ["s0", "s1", "s2", "s3"],
+        [("s0", "a", "s2"), ("s0", "b", "s1"), ("s0", "a", "s0"), ("s1", "a", "s3"), ("s0", "a", "s3")],
+    )
+    assert a.successors("s0", "a") == ("s2", "s0", "s3")
+    assert a.successors("s0", "b") == ("s1",)
+    assert a.successors("s2", "a") == ()
+    assert not a.is_deterministic
+
+
+def test_is_deterministic():
+    moves = [("s0", "a", "s1"), ("s1", "b", "s0"), ("s1", "a", "s1")]
+    assert simple("D", ["a", "b"], ["s0", "s1"], moves).is_deterministic
+    assert not simple("R", ["a", "b"], ["s0", "s1"], moves + [("s0", "a", "s0")]).is_deterministic
+    assert not simple("R", ["a", "b"], ["s0", "s1"], moves + [("s0", "a", "s1")]).is_deterministic
+    assert not simple("T", ["a", "b"], ["s0", "s1"], moves + [("s0", TAU, "s1")]).is_deterministic
+    two_initial = Automaton(
+        name="I", events=(), states=(State("s0", initial=True), State("s1", initial=True)), transitions=()
+    )
+    assert not two_initial.is_deterministic
+
+
 def test_sync_compose_shared_and_private():
     # shared event s must synchronize, private events interleave
     a = simple("A", ["s", "p"], ["s0", "s1"], [("s0", "p", "s0"), ("s0", "s", "s1")])

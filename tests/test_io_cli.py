@@ -137,6 +137,28 @@ def test_cli_rejects_transition_citing_unknown_state_or_event(tmp_path, transiti
         assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "entry, flag",
+    [("states", "initial"), ("states", "marked"), ("states", "secret"), ("events", "observable"), ("events", "controllable")],
+)
+def test_cli_rejects_non_bool_flag(tmp_path, entry, flag):
+    doc = {
+        "name": "g",
+        "events": [{"name": "a"}],
+        "states": [{"name": "s0", "initial": True}],
+        "transitions": [["s0", "a", "s0"]],
+    }
+    doc[entry][0][flag] = 1
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["verify-opacity"], ["synthesize", "-k", "1"]):
+        result = runner().invoke(main, [*command, str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        error = result.output.splitlines()[-1]
+        assert error.startswith("Error: ") and f"$.{entry}[0].{flag}: expected true or false, got 1" in error
+
+
 def test_parse_automaton_rejects_other_document_kinds(mono_tpo):
     with pytest.raises(DocumentError) as err:
         parse_automaton(serialize_document(transform_monolithic(mono_tpo)))

@@ -1,12 +1,18 @@
 """Three-player observers: construction, runs, the erasure bound, pruning."""
 
+from collections import deque
 from dataclasses import replace
 
 import pytest
 
 from opacedit import (
+    EPSILON,
+    RandomSpec,
     Run,
+    Tpo,
     TpoState,
+    TpoTransition,
+    abstract_component,
     build_largest_tpo,
     check_complete,
     constrain_erasures,
@@ -14,8 +20,11 @@ from opacedit import (
     desired_observer,
     determinize,
     edit_projection,
+    erasure_symbol,
     iter_runs,
     prune_to_aes,
+    random_pair,
+    random_system,
     run_string,
 )
 
@@ -216,3 +225,117 @@ def test_prune_to_aes_unenforceable_returns_empty():
     t = build_largest_tpo(desired_observer(obs), obs)
     assert t.initial is None
     assert prune_to_aes(t, 2).initial is None
+
+
+def _reference_build_largest_tpo(obsd, obs, name="tpo"):
+    """The construction as first written: every probe through
+    ``Automaton.successors`` and every state looked up by its value.  The
+    differential tests below hold ``build_largest_tpo`` to it."""
+    det_d = obsd.automaton
+    det_f = obs.automaton
+    if obs.initial is None or obsd.initial is None:
+        return Tpo(name=name, events=det_f.events, states=(), transitions=(), initial=None)
+
+    def d_succ(x_d, event):
+        targets = det_d.successors(x_d, event)
+        return targets[0] if targets else None
+
+    def f_succ(x_f, event):
+        targets = det_f.successors(x_f, event)
+        return targets[0] if targets else None
+
+    observable = sorted(ev.name for ev in det_f.events if ev.observable)
+    states = {}
+    transitions = []
+    queue = deque()
+
+    def admit(state):
+        known = states.get(state)
+        if known is None:
+            states[state] = known = state
+            queue.append(state)
+        return known
+
+    y0 = admit(TpoState(kind="Y", x_d=obsd.initial, x_f=obs.initial))
+    while queue:
+        here = queue.popleft()
+        if here.kind == "Y":
+            for event in observable:
+                if f_succ(here.x_f, event) is None:
+                    continue
+                z = admit(TpoState(kind="Z", x_d=here.x_d, x_f=here.x_f, event=event))
+                transitions.append(TpoTransition(here, "yz", event, z))
+        elif here.kind == "Z":
+            pending = here.event
+            for theta in observable:
+                nxt_d = d_succ(here.x_d, theta)
+                if nxt_d is None:
+                    continue
+                z = admit(TpoState(kind="Z", x_d=nxt_d, x_f=here.x_f, event=pending))
+                transitions.append(TpoTransition(here, "zz", theta, z))
+            if d_succ(here.x_d, pending) is not None and f_succ(here.x_f, pending) is not None:
+                w = admit(TpoState(kind="W", x_d=here.x_d, x_f=here.x_f, action=pending))
+                transitions.append(TpoTransition(here, "zw1", EPSILON, w))
+            if f_succ(here.x_f, pending) is not None:
+                w = admit(TpoState(kind="W", x_d=here.x_d, x_f=here.x_f, action=pending, erased=True))
+                transitions.append(TpoTransition(here, "zw2", erasure_symbol(pending), w))
+        else:
+            event = here.action
+            nxt_f = f_succ(here.x_f, event)
+            if here.erased:
+                if nxt_f is not None:
+                    y = admit(TpoState(kind="Y", x_d=here.x_d, x_f=nxt_f))
+                    transitions.append(TpoTransition(here, "wy2", event, y))
+            else:
+                nxt_d = d_succ(here.x_d, event)
+                if nxt_d is not None and nxt_f is not None:
+                    y = admit(TpoState(kind="Y", x_d=nxt_d, x_f=nxt_f))
+                    transitions.append(TpoTransition(here, "wy1", event, y))
+    return Tpo(name=name, events=det_f.events, states=tuple(states), transitions=tuple(transitions), initial=y0)
+
+
+def _observer_pairs(g):
+    """The (desired, full) observer pairs the pipeline builds TPOs from: the
+    exact observers of ``g`` and the observers of its abstraction."""
+    obs = determinize(g)
+    bundle = abstract_component(g)
+    return [(desired_observer(obs), obs), (bundle.h_obd, bundle.h_b)]
+
+
+def _assert_same_build(systems):
+    """Compare the two builds on every observer pair of ``systems``; return
+    how many of the TPOs are non-empty."""
+    non_empty = 0
+    for g in systems:
+        for obsd, obs in _observer_pairs(g):
+            got = build_largest_tpo(obsd, obs, name=g.name)
+            want = _reference_build_largest_tpo(obsd, obs, name=g.name)
+            assert got.states == want.states
+            assert got.transitions == want.transitions
+            assert got.initial == want.initial
+            assert got.events == want.events
+            assert got == want
+            non_empty += got.initial is not None
+    return non_empty
+
+
+def test_build_matches_reference_on_demo_pair(pair, composed):
+    assert _assert_same_build([*pair, composed]) == 6
+
+
+def test_build_matches_reference_on_random_pairs():
+    non_empty = sum(
+        _assert_same_build(random_pair(RandomSpec(seed=seed, max_states=8, alphabet_size=4)))
+        for seed in range(20)
+    )
+    assert non_empty >= 60
+
+
+def test_build_matches_reference_on_rings(ring):
+    non_empty = sum(_assert_same_build(ring(seed, size)) for seed in range(6) for size in (3, 4))
+    assert non_empty >= 70
+
+
+def test_build_matches_reference_on_random_systems():
+    non_empty = sum(_assert_same_build([random_system(RandomSpec(seed=seed))]) for seed in range(40))
+    assert non_empty >= 60

@@ -1,6 +1,7 @@
 """Encoding TPOs as plants: decorated events, origins, modular alphabets."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -119,6 +120,20 @@ def test_monolithic_encoding_is_deterministic(mono_tpo):
     for src, label, dst in enc.automaton.transitions:
         assert (src, label) not in seen
         seen.add((src, label))
+
+
+def test_encoding_matches_states_by_value_not_identity(mono_tpo):
+    # A TPO whose initial state and transition endpoints are equal copies of
+    # the listed states, not the same objects, encodes the same way.
+    copied = replace(
+        mono_tpo,
+        initial=replace(mono_tpo.initial),
+        transitions=tuple(
+            replace(tr, source=replace(tr.source), target=replace(tr.target)) for tr in mono_tpo.transitions
+        ),
+    )
+    _assert_same_encodings((transform_monolithic(copied),), (transform_monolithic(mono_tpo),))
+    assert transform_monolithic(copied).automaton.initial_states == (mono_tpo.initial.name,)
 
 
 def test_modular_alphabet_blocks_foreign_context_shared_decisions(structure):
