@@ -27,9 +27,7 @@ from typing import Any
 
 from .automata import TAU, Automaton, Event, InvalidAutomaton, State
 from .synthesis import ModularEditStructure
-from .tpo import (
-    KINDS, W, WY1, WY2, Y, YZ, Z, ZW1, ZW2, ZZ, Tpo, TpoState, TpoTransition, state_names,
-)
+from .tpo import ENDPOINTS, KINDS, W, Y, Z, Tpo, TpoState, TpoTransition, state_names
 from .transform import TransformedAutomaton, decoration_table, parse_decorated
 
 KIND_TPO = "tpo"
@@ -192,17 +190,6 @@ def parse_automaton(text: str) -> Automaton:
     return automaton_from_dict(doc)
 
 
-# Per transition class: the kind and erased flag of its source and target.
-_ENDPOINTS = {
-    YZ: ((Y, False), (Z, False)),
-    ZZ: ((Z, False), (Z, False)),
-    ZW1: ((Z, False), (W, False)),
-    ZW2: ((Z, False), (W, True)),
-    WY1: ((W, False), (Y, False)),
-    WY2: ((W, True), (Y, False)),
-}
-
-
 def _tpo_state_from_dict(entry: Any, here: str) -> TpoState:
     entry = _expect_object(entry, here)
     count = entry.get("count")
@@ -275,9 +262,9 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
         if dst not in by_name:
             _fail(f"{path}.transitions[{i}][3]", f"unknown state {dst!r}")
         source, target = by_name[src], by_name[dst]
-        if cls not in _ENDPOINTS:
-            _fail(f"{path}.transitions[{i}][1]", f"expected one of {', '.join(_ENDPOINTS)}, got {cls!r}")
-        if _ENDPOINTS[cls] != ((source.kind, source.erased), (target.kind, target.erased)):
+        if cls not in ENDPOINTS:
+            _fail(f"{path}.transitions[{i}][1]", f"expected one of {', '.join(ENDPOINTS)}, got {cls!r}")
+        if ENDPOINTS[cls] != ((source.kind, source.erased), (target.kind, target.erased)):
             _fail(f"{path}.transitions[{i}][1]", f"class {cls!r} does not fit {src!r} -> {dst!r}")
         transitions.append(TpoTransition(source, cls, label, target))
     initial = _optional_string(doc.get("initial"), f"{path}.initial")

@@ -27,17 +27,14 @@ from typing import Mapping, Sequence
 
 from .synthesis import ModularEditStructure
 from .transform import (
-    DELIVER,
-    DELIVER_ERASED,
-    ERASE,
-    INSERT,
-    STOP,
-    SYSTEM,
-    DecoratedEvent,
-    decoration_table,
+    DECISION, DELIVER, DELIVERY, ERASE, INSERT, MOVES, STOP, SYSTEM, DecoratedEvent, decoration_table,
 )
 
 POLICIES = ("pass-through", "lexicographic", "random")
+_DECISIONS = tuple(kind for kind, move in MOVES.items() if move.role == DECISION)
+_DELIVERIES = tuple(kind for kind, move in MOVES.items() if move.role == DELIVERY)
+# The decisions that end the edit of one event: a stop or an erasure.
+_CLOSING = tuple(kind for kind in _DECISIONS if kind != INSERT)
 
 
 class StepError(ValueError):
@@ -134,11 +131,11 @@ def _policy_chain(session: Session, inserted: int) -> list[tuple[str, DecoratedE
     insertions ending in a stop or an erasure.  None when there is none."""
     if session.policy == "pass-through":
         return _chain_to_decision(session, (STOP,)) or _chain_to_decision(session, (ERASE,))
-    decisions = _enabled(session, (INSERT, STOP, ERASE))
+    decisions = _enabled(session, _DECISIONS)
     if inserted >= session.insertion_budget:
-        decisions = [d for d in decisions if d[1].kind in (STOP, ERASE)]
+        decisions = [d for d in decisions if d[1].kind in _CLOSING]
         if not decisions:
-            return _chain_to_decision(session, (STOP, ERASE))
+            return _chain_to_decision(session, _CLOSING)
     if not decisions:
         return None
     if session.policy == "random":
@@ -177,16 +174,16 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
                 session.current = target
                 if dec.kind in (INSERT, DELIVER):
                     emitted.append(dec.base)
-                if dec.kind in (INSERT, STOP, ERASE):
+                if dec.kind in _DECISIONS:
                     decisions.append(label)
             if session.at_y():
                 break
-            deliveries = _enabled(session, (DELIVER, DELIVER_ERASED))
+            deliveries = _enabled(session, _DELIVERIES)
             if deliveries:
                 turn = deliveries[:1]
             elif forced:
                 wanted = forced.popleft()
-                enabled = {item[0]: item for item in _enabled(session, (INSERT, STOP, ERASE))}
+                enabled = {item[0]: item for item in _enabled(session, _DECISIONS)}
                 if wanted not in enabled:
                     choices = ", ".join(sorted(enabled)) or "none"
                     raise StepError(

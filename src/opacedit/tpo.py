@@ -35,6 +35,15 @@ from .estimation import Observer, desired_observer, determinize
 Y, Z, W = "Y", "Z", "W"
 KINDS = (Y, Z, W)
 YZ, ZZ, ZW1, ZW2, WY1, WY2 = "yz", "zz", "zw1", "zw2", "wy1", "wy2"
+# Per transition class: the kind and erased flag of its source and target.
+ENDPOINTS = {
+    YZ: ((Y, False), (Z, False)),
+    ZZ: ((Z, False), (Z, False)),
+    ZW1: ((Z, False), (W, False)),
+    ZW2: ((Z, False), (W, True)),
+    WY1: ((W, False), (Y, False)),
+    WY2: ((W, True), (Y, False)),
+}
 
 
 @dataclass(frozen=True)
@@ -206,13 +215,7 @@ class Run:
 def run_string(run: Run) -> tuple[str, ...]:
     """What the intruder observes along a run: insertions in order, then the
     genuine event when it is delivered; an erased event contributes nothing."""
-    output: list[str] = []
-    for tr in run.steps:
-        if tr.cls == ZZ:
-            output.append(tr.label)
-        elif tr.cls == WY1:
-            output.append(tr.label)
-    return tuple(output)
+    return tuple(tr.label for tr in run.steps if tr.cls in (ZZ, WY1))
 
 
 def edit_projection(run: Run) -> tuple[str, ...]:

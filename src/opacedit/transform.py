@@ -6,14 +6,8 @@ distinguishable.  System arrivals and deliveries are uncontrollable; insert,
 stop and erase decisions are controllable.  Y states are marked; the result
 is deterministic by construction.
 
-Serialized decorated-event names:
-
-    system e        ->  e
-    insert theta    ->  ins:theta@context
-    stop            ->  stop@context
-    erase e         ->  erz:e@e
-    deliver e       ->  out:e@e
-    deliver erased  ->  drop:e@e
+``MOVES`` declares each decoration kind once: the TPO transition class it
+encodes, how its name is spelled, its controllability and its role in a step.
 
 The encoding rejects a system event name with an ``@`` or an ``ins:``,
 ``erz:``, ``out:`` or ``drop:`` prefix, so names and decorations correspond one
@@ -30,7 +24,7 @@ with a single component, where neither addition applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .automata import (
     EPSILON,
@@ -50,8 +44,29 @@ ERASE = "erase"
 DELIVER = "deliver"
 DELIVER_ERASED = "deliver-erased"
 
-_CONTROLLABLE = {INSERT: True, STOP: True, ERASE: True, SYSTEM: False, DELIVER: False, DELIVER_ERASED: False}
-_CLASS_OF = {SYSTEM: YZ, INSERT: ZZ, STOP: ZW1, ERASE: ZW2, DELIVER: WY1, DELIVER_ERASED: WY2}
+ARRIVAL, DECISION, DELIVERY = "arrival", "decision", "delivery"
+
+
+class Move(NamedTuple):
+    cls: str  # the TPO transition class the move encodes
+    prefix: str  # how its decorated name starts
+    controllable: bool
+    role: str  # in a step: ARRIVAL, DECISION or DELIVERY
+
+
+# The six moves of the edit game, by decoration kind.  A system event is spelled
+# by its own name, any other move as prefix, base (a stop has none), "@" and
+# context.
+MOVES = {
+    SYSTEM: Move(YZ, "", False, ARRIVAL),
+    INSERT: Move(ZZ, "ins:", True, DECISION),
+    STOP: Move(ZW1, "stop", True, DECISION),
+    ERASE: Move(ZW2, "erz:", True, DECISION),
+    DELIVER: Move(WY1, "out:", False, DELIVERY),
+    DELIVER_ERASED: Move(WY2, "drop:", False, DELIVERY),
+}
+_KIND_OF_CLASS = {move.cls: kind for kind, move in MOVES.items()}
+_KIND_OF_PREFIX = {move.prefix: kind for kind, move in MOVES.items() if move.role != ARRIVAL}
 
 
 @dataclass(frozen=True)
@@ -64,52 +79,40 @@ class DecoratedEvent:
 
     @property
     def name(self) -> str:
-        if self.kind == SYSTEM:
+        move = MOVES.get(self.kind)
+        if move is None:
+            raise ValueError(f"unknown decoration kind {self.kind!r}")
+        if move.role == ARRIVAL:
             return self.base
-        if self.kind == INSERT:
-            return f"ins:{self.base}@{self.context}"
-        if self.kind == STOP:
-            return f"stop@{self.context}"
-        if self.kind == ERASE:
-            return f"erz:{self.base}@{self.context}"
-        if self.kind == DELIVER:
-            return f"out:{self.base}@{self.context}"
-        if self.kind == DELIVER_ERASED:
-            return f"drop:{self.base}@{self.context}"
-        raise ValueError(f"unknown decoration kind {self.kind!r}")
+        return f"{move.prefix}{'' if self.kind == STOP else self.base}@{self.context}"
 
     @property
     def controllable(self) -> bool:
-        return _CONTROLLABLE[self.kind]
+        return MOVES[self.kind].controllable
 
     @property
     def transition_class(self) -> str:
-        return _CLASS_OF[self.kind]
+        return MOVES[self.kind].cls
 
     def event(self) -> Event:
         return Event(name=self.name, observable=True, controllable=self.controllable)
 
 
-_PREFIX_KIND = {"ins": INSERT, "erz": ERASE, "out": DELIVER, "drop": DELIVER_ERASED}
-
-
 def parse_decorated(name: str) -> DecoratedEvent:
     """Inverse of ``DecoratedEvent.name``; malformed decorations are errors
-    rather than being read back as plain system events."""
-    prefix, sep, rest = name.partition(":")
-    if sep and prefix in _PREFIX_KIND:
-        base, at, context = rest.partition("@")
-        if not at or not base or not context:
+    rather than being read back as plain system events.  The prefix is read
+    from the part before the first ``@``: up to its first ``:``, or all of it
+    for a stop.  A ``:`` prefix reserves a name even without an ``@``."""
+    head, at, context = name.partition("@")
+    prefix, colon, base = head.partition(":")
+    kind = _KIND_OF_PREFIX.get(prefix + colon)
+    if kind is None or not (at or colon):
+        if at:
             raise ValueError(f"malformed decorated event {name!r}")
-        return DecoratedEvent(kind=_PREFIX_KIND[prefix], base=base, context=context)
-    if name.startswith("stop@"):
-        context = name[5:]
-        if not context:
-            raise ValueError(f"malformed decorated event {name!r}")
-        return DecoratedEvent(kind=STOP, base=EPSILON, context=context)
-    if "@" in name:
+        return DecoratedEvent(kind=SYSTEM, base=name)
+    if not context or not (base or kind == STOP):
         raise ValueError(f"malformed decorated event {name!r}")
-    return DecoratedEvent(kind=SYSTEM, base=name)
+    return DecoratedEvent(kind=kind, base=base or EPSILON, context=context)
 
 
 def is_plain_event_name(name: str) -> bool:
@@ -121,22 +124,12 @@ def is_plain_event_name(name: str) -> bool:
         return False
 
 
-def rename(d: DecoratedEvent) -> str | None:
-    """Strip the decoration back to the edit symbol it denotes: inserted and
-    delivered events keep their base name, a stop maps to the empty string
-    (returned as None) and an erasure maps to its erasure symbol."""
-    if d.kind == STOP:
-        return None
-    if d.kind == ERASE:
-        return erasure_symbol(d.base)
-    return d.base
-
-
 def run_label(d: DecoratedEvent) -> tuple[str, str]:
-    """(transition class, renamed label) pair used to align plant traces with
-    TPO runs."""
-    renamed = rename(d)
-    return (d.transition_class, EPSILON if renamed is None else renamed)
+    """(transition class, TPO label) pair used to align plant traces with TPO
+    runs: the label is the decoration's base, except that a stop has none and
+    an erasure shows its erasure symbol."""
+    label = EPSILON if d.kind == STOP else erasure_symbol(d.base) if d.kind == ERASE else d.base
+    return (MOVES[d.kind].cls, label)
 
 
 @dataclass(frozen=True)
@@ -158,22 +151,14 @@ def decoration_table(components: Iterable[TransformedAutomaton]) -> dict[str, De
     return table
 
 
-_TPO_KIND = {YZ: SYSTEM, ZZ: INSERT, ZW1: STOP, ZW2: ERASE, WY1: DELIVER, WY2: DELIVER_ERASED}
-
-
 def _decorate(tr: TpoTransition, pending: str) -> DecoratedEvent:
-    kind = _TPO_KIND[tr.cls]
-    if kind == SYSTEM:
-        return DecoratedEvent(kind=SYSTEM, base=tr.label)
-    if kind == INSERT:
-        return DecoratedEvent(kind=INSERT, base=tr.label, context=pending)
-    if kind == STOP:
-        return DecoratedEvent(kind=STOP, base=EPSILON, context=pending)
-    if kind == ERASE:
-        return DecoratedEvent(kind=ERASE, base=pending, context=pending)
-    if kind == DELIVER:
-        return DecoratedEvent(kind=DELIVER, base=tr.label, context=tr.label)
-    return DecoratedEvent(kind=DELIVER_ERASED, base=tr.label, context=tr.label)
+    """A decision's context is the pending event, a delivery's its own label;
+    an erasure's base is the pending event it erases."""
+    kind = _KIND_OF_CLASS[tr.cls]
+    role = MOVES[kind].role
+    base = EPSILON if kind == STOP else pending if kind == ERASE else tr.label
+    context = pending if role == DECISION else tr.label if role == DELIVERY else None
+    return DecoratedEvent(kind=kind, base=base, context=context)
 
 
 def transform_monolithic(t: Tpo, name: str | None = None) -> TransformedAutomaton:
@@ -237,18 +222,12 @@ def transform_modular(
         rendered = state_names(t.states)
         contexts = sorted({st.event for st in t.states if st.kind == Z})
         alphabet = sorted(ev.name for ev in t.events if ev.observable)
-        decorations: dict[str, DecoratedEvent] = {}
-        for base in alphabet:
-            decorations[base] = DecoratedEvent(kind=SYSTEM, base=base)
+        possible = [DecoratedEvent(kind=SYSTEM, base=base) for base in alphabet]
         for context in contexts:
-            for base in alphabet:
-                dec = DecoratedEvent(kind=INSERT, base=base, context=context)
-                decorations[dec.name] = dec
-            for dec in (
-                DecoratedEvent(kind=STOP, base=EPSILON, context=context),
-                DecoratedEvent(kind=ERASE, base=context, context=context),
-            ):
-                decorations[dec.name] = dec
+            possible += [DecoratedEvent(kind=INSERT, base=base, context=context) for base in alphabet]
+            possible.append(DecoratedEvent(kind=STOP, base=EPSILON, context=context))
+            possible.append(DecoratedEvent(kind=ERASE, base=context, context=context))
+        decorations = {dec.name: dec for dec in possible}
         # Each distinct (class, label, pending event) is decorated and named
         # once; consecutive transitions from one source look its name up once.
         labels: dict[tuple[str, str, str | None], str] = {}
@@ -284,11 +263,8 @@ def transform_modular(
             shared = sorted(local & table)
             for alpha in sorted(table - local):
                 for base in shared:
-                    for dec in (
-                        DecoratedEvent(kind=INSERT, base=base, context=alpha),
-                        DecoratedEvent(kind=DELIVER, base=base, context=alpha),
-                        DecoratedEvent(kind=DELIVER_ERASED, base=base, context=alpha),
-                    ):
+                    for kind in (INSERT, DELIVER, DELIVER_ERASED):
+                        dec = DecoratedEvent(kind=kind, base=base, context=alpha)
                         decorations[dec.name] = dec
 
         automaton = Automaton(

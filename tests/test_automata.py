@@ -130,6 +130,19 @@ def test_sync_compose_secret_propagates():
     assert not c.state_map["(s0,r0)"].secret
 
 
+def test_compose_all_of_one_part_is_that_part():
+    a = Automaton(
+        name="A",
+        events=(Event("x"),),
+        states=(State("p0", initial=True), State("p1", secret=True)),
+        transitions=(("p0", "x", "p1"),),
+    )
+    assert compose_all([a]) is a
+    renamed = compose_all([a], name="solo")
+    assert renamed.name == "solo"
+    assert (renamed.events, renamed.states, renamed.transitions) == (a.events, a.states, a.transitions)
+
+
 def test_compose_all_order_independent_language():
     a = simple("A", ["x", "s"], ["s0", "s1"], [("s0", "x", "s1"), ("s1", "s", "s0")])
     b = simple("B", ["y", "s"], ["r0", "r1"], [("r0", "y", "r1"), ("r1", "s", "r0")])

@@ -382,6 +382,44 @@ def test_cli_synthesize_unenforceable_exit_three(tmp_path):
     assert result.exit_code == 3
 
 
+def _empty_structure(tmp_path):
+    # synthesize exits 3 on a system whose initial state is secret, but still
+    # writes the structure, whose supervisor is empty
+    exposed = Automaton(
+        name="exposed",
+        events=(Event("a"),),
+        states=(State("s0", initial=True, secret=True), State("s1")),
+        transitions=(("s0", "a", "s1"),),
+    )
+    path, out = tmp_path / "exposed.json", tmp_path / "structure.json"
+    path.write_text(serialize_automaton(exposed), encoding="utf-8")
+    assert runner().invoke(main, ["synthesize", str(path), "-k", "1", "-o", str(out)]).exit_code == 3
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        (["step", "{empty}"], 3, "empty supervisor: opacity is unenforceable"),
+        (["synthesize", G1, "-k", "-1"], 2, "Error: --max-erasures must be nonnegative"),
+        (["spec-k", "-k", "-1", "--plant", G1], 2, "Error: max_erasures must be nonnegative"),
+        (["check", "--suite", "observer-sync", "--count", "0"], 2, "Error: --count must be positive"),
+        (["transform", G1, G2], 2, "Error: monolithic transform takes exactly one file; use --modular"),
+    ],
+    ids=["step-empty", "synthesize-k", "spec-k-k", "check-count", "transform-two-files"],
+)
+def test_cli_exit_paths(tmp_path, command, code, message):
+    if "{empty}" in command:
+        command = [arg.format(empty=_empty_structure(tmp_path)) for arg in command]
+    result = runner().invoke(main, command)
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    lines = result.output.splitlines()
+    assert lines[-1] == message
+    assert len([line for line in lines if line.startswith("Error:")]) == (code == 2)
+
+
 @pytest.mark.parametrize(
     "hidden, message",
     [
@@ -560,6 +598,17 @@ def _drop_pending_event(doc):
     return f"$.states[{index}]: a Z state needs an event"
 
 
+def _drop_action(doc):
+    index = next(i for i, st in enumerate(doc["states"]) if st["kind"] == "W")
+    del doc["states"][index]["action"]
+    return f"$.states[{index}]: a W state needs an action"
+
+
+def _set_unknown_target(doc):
+    doc["transitions"][0][3] = "nowhere"
+    return "$.transitions[0][3]: unknown state 'nowhere'"
+
+
 def _deliver_after_erasure(doc):
     index = next(i for i, tr in enumerate(doc["transitions"]) if tr[1] == "wy2")
     doc["transitions"][index][1] = "wy1"
@@ -598,6 +647,8 @@ def _set_initial(value):
         _set_first_class("bogus"),
         _set_first_class("zz"),
         _drop_pending_event,
+        _drop_action,
+        _set_unknown_target,
         _deliver_after_erasure,
         _set_boolean_count,
         _set_initial([]),
@@ -611,6 +662,8 @@ def _set_initial(value):
         "bogus",
         "zz",
         "z-event",
+        "w-action",
+        "unknown-target",
         "wy1-erased",
         "count",
         "initial-list",

@@ -17,6 +17,7 @@ from opacedit import (
     check_private_safety,
     check_supervisor_equals_aes,
     check_tpo_abstraction,
+    demo_g1,
     demo_pair,
     open_session,
     random_pair,
@@ -25,6 +26,7 @@ from opacedit import (
     step,
     synthesize_modular_edit_structure,
 )
+from opacedit.transform import decoration_table
 
 
 def test_random_spec_validation():
@@ -118,6 +120,22 @@ def test_private_safety_on_rings(ring, size, floor):
     assert non_empty >= floor
 
 
+def test_private_safety_on_single_components():
+    g = demo_g1()
+    m = synthesize_modular_edit_structure([g], max_erasures=1)
+    report = check_private_safety(m, [g], depth=5)
+    assert report.violations == ()
+    assert not report.empty
+    non_empty = 0
+    for seed in range(20):
+        g = random_system(RandomSpec(seed=seed))
+        m = synthesize_modular_edit_structure([g], max_erasures=1)
+        report = check_private_safety(m, [g], depth=3)
+        assert report.violations == (), f"seed {seed}"
+        non_empty += not report.empty
+    assert non_empty >= 14
+
+
 def _hidden(g, name):
     events = tuple(dataclasses.replace(ev, observable=False) if ev.name == name else ev for ev in g.events)
     return dataclasses.replace(g, events=events)
@@ -149,6 +167,57 @@ def test_private_safety_flags_unsafe_supervisor():
     rigged = dataclasses.replace(m, supervisor=m.plant)
     report = check_private_safety(rigged, systems, depth=6)
     assert report.violations
+
+
+def _hand_built_structure(edges, max_erasures=1):
+    """The demo pair's structure with its supervisor replaced by ``edges``,
+    which may use only events the components declare; ``y`` is the one
+    initial and marked state."""
+    systems = list(demo_pair())
+    m = synthesize_modular_edit_structure(systems, max_erasures=1)
+    table = decoration_table(m.components)
+    names = list(dict.fromkeys(name for src, _, dst in edges for name in (src, dst)))
+    supervisor = Automaton(
+        name="hand-built",
+        events=tuple(table[label].event() for label in sorted({label for _, label, _ in edges})),
+        states=tuple(State(name, initial=name == "y", marked=name == "y") for name in names),
+        transitions=tuple(edges),
+    )
+    return dataclasses.replace(m, supervisor=supervisor, max_erasures=max_erasures), systems
+
+
+_PASS_BETA = [("y", "beta", "zb"), ("zb", "stop@beta", "wb"), ("wb", "out:beta@beta", "y")]
+
+
+def test_private_safety_flags_unsafe_outputs_and_stranded_sessions():
+    # gamma is answered with "alpha gamma", which leaves the safe language, and
+    # alpha is never enabled, so a string ending in alpha has no decision chain
+    m, systems = _hand_built_structure(
+        [
+            ("y", "gamma", "z"),
+            ("z", "ins:alpha@gamma", "z2"),
+            ("z2", "stop@gamma", "w"),
+            ("w", "out:gamma@gamma", "y"),
+            *_PASS_BETA,
+        ]
+    )
+    shallow = check_private_safety(m, systems, depth=2).violations
+    assert "unsafe output alpha.gamma after gamma at y" in shallow
+    assert "unsafe session output alpha.gamma.beta after gamma.beta" in shallow
+    deep = check_private_safety(m, systems, depth=3).violations
+    assert "unsafe output alpha.gamma after gamma at y" in deep
+    assert "no admissible decision chain after beta.gamma.alpha" in deep
+    assert "session stranded after beta.gamma.alpha: event 'alpha' is not enabled at y" in deep
+
+
+def test_private_safety_flags_sessions_over_the_erasure_budget():
+    m, systems = _hand_built_structure(
+        [("y", "gamma", "z"), ("z", "erz:gamma@gamma", "w"), ("w", "drop:gamma@gamma", "y"), *_PASS_BETA],
+        max_erasures=0,
+    )
+    violations = check_private_safety(m, systems, depth=2).violations
+    assert "erasure budget exceeded after gamma at y" in violations
+    assert "session exceeded the erasure budget after gamma.beta" in violations
 
 
 def test_private_safety_vacuous_on_empty_supervisor():

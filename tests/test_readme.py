@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from opacedit.transform import INSERT, MOVES, DecoratedEvent
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -15,3 +17,14 @@ def test_readme_python_block_runs(capsys):
         "beta -> ('beta',)",
         "alpha -> ()",
     ]
+
+
+def test_readme_decision_events_table_matches_the_moves():
+    # the table's events: ``c`` is pending, ``b`` the inserted event
+    section = README.read_text(encoding="utf-8").split("## Decision events", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| [^|]+ \| (yes|no) \|$", section, re.M)
+    expected = []
+    for kind in MOVES:
+        dec = DecoratedEvent(kind=kind, base="b" if kind == INSERT else "c", context="c")
+        expected.append((dec.name, "yes" if dec.controllable else "no"))
+    assert rows == expected

@@ -70,6 +70,11 @@ def test_parse_decorated_rejects_garbage():
     assert parse_decorated("frobnicate").kind == "system"
 
 
+def test_unknown_decoration_kind_has_no_name():
+    with pytest.raises(ValueError, match="unknown decoration kind 'bogus'"):
+        DecoratedEvent(kind="bogus", base="a").name
+
+
 # Names built from the pieces of the decoration syntax, kept when the
 # encoding's input check accepts them.
 _PIECES = ["ins", "erz", "out", "drop", "stop", ":", "@", "a", "b"]
