@@ -154,7 +154,7 @@ def transform(files: tuple[str, ...], modular: bool, output_prefix: str | None) 
         encoded = transform_monolithic(t, name=f"{g.name}^T")
         _write(serialize_document(encoded), output_prefix)
         return
-    _, _, components = encode_components(systems)
+    _, components = encode_components(systems)
     prefix = output_prefix or "transformed"
     for i, comp in enumerate(components):
         _write(serialize_document(comp), f"{prefix}.{i}.json")
@@ -173,7 +173,7 @@ def transform(files: tuple[str, ...], modular: bool, output_prefix: str | None) 
 def spec_k(max_erasures: int, plants: tuple[str, ...], output: str | None) -> None:
     """Build the edit-constraint specification for the given components."""
     systems = _compose(plants)
-    _, _, components = encode_components(systems)
+    _, components = encode_components(systems)
     try:
         spec = build_constraint_automaton(max_erasures, components)
     except ValueError as err:

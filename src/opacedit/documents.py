@@ -25,9 +25,9 @@ from json.encoder import encode_basestring
 from operator import getitem
 from typing import Any
 
-from .automata import TAU, Automaton, Event, InvalidAutomaton, State
+from .automata import EPSILON, TAU, Automaton, Event, InvalidAutomaton, State, erasure_symbol
 from .synthesis import ModularEditStructure
-from .tpo import ENDPOINTS, KINDS, W, Y, Z, Tpo, TpoState, TpoTransition, state_names
+from .tpo import ENDPOINTS, KINDS, W, Y, YZ, Z, ZW1, ZW2, ZZ, Tpo, TpoState, TpoTransition, state_names
 from .transform import TransformedAutomaton, decoration_table, parse_decorated
 
 KIND_TPO = "tpo"
@@ -214,11 +214,29 @@ def _tpo_state_from_dict(entry: Any, here: str) -> TpoState:
     return state
 
 
+def _label_problem(cls: str, label: str, source: TpoState, target: TpoState, observable: set[str]) -> str | None:
+    """Why ``label`` cannot label a ``cls`` transition from ``source`` to
+    ``target`` whose kinds fit the class, or None if it can."""
+    if cls == ZZ:
+        if label not in observable:
+            return f"an insertion needs an observable event, got {label!r}"
+        if target.event != source.event:
+            return f"an insertion keeps the pending event {source.event!r}, got {target.event!r}"
+        return None
+    expected = {YZ: target.event, ZW1: EPSILON, ZW2: erasure_symbol(source.event)}.get(cls, source.action)
+    if label != expected:
+        return f"class {cls!r} needs label {expected!r}, got {label!r}"
+    return None
+
+
 def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
     """States are listed by their fields; transitions and ``initial`` cite a
     state by the name ``state_names`` renders for it.  A Z state needs its
     event, a W state its action, and a transition's class must fit the kind
-    and erased flag of each endpoint."""
+    and erased flag of each endpoint.  A label must be what its class says:
+    the arriving event, an observable insertion that keeps the pending event,
+    ``ε`` for a stop, the pending event's erasure symbol, the delivered
+    action.  The initial state is a Y state."""
     doc = _expect_object(doc, path)
     name = _expect_string(doc.get("name", "tpo"), f"{path}.name")
     events = _events_from_dict(doc, path)
@@ -245,6 +263,7 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
     except InvalidAutomaton as err:
         raise DocumentError(f"{path}.states: {err}") from err
     by_name = {rendered: st for st, rendered in names.items()}
+    observable = {ev.name for ev in events if ev.observable}
     transitions = []
     for i, entry in enumerate(_expect_list(doc.get("transitions", []), f"{path}.transitions")):
         if not (
@@ -266,10 +285,15 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
             _fail(f"{path}.transitions[{i}][1]", f"expected one of {', '.join(ENDPOINTS)}, got {cls!r}")
         if ENDPOINTS[cls] != ((source.kind, source.erased), (target.kind, target.erased)):
             _fail(f"{path}.transitions[{i}][1]", f"class {cls!r} does not fit {src!r} -> {dst!r}")
+        problem = _label_problem(cls, label, source, target, observable)
+        if problem is not None:
+            _fail(f"{path}.transitions[{i}][2]", problem)
         transitions.append(TpoTransition(source, cls, label, target))
     initial = _optional_string(doc.get("initial"), f"{path}.initial")
     if initial is not None and initial not in by_name:
         _fail(f"{path}.initial", f"unknown state {initial!r}")
+    if initial is not None and by_name[initial].kind != Y:
+        _fail(f"{path}.initial", f"the initial state {initial!r} is not a Y state")
     return Tpo(
         name=name,
         events=events,

@@ -242,7 +242,7 @@ def check_modular_inclusion(
     Vacuously true when some component has an empty desired observer, since
     then no edit function exists at all.
     """
-    bundles, _, components = encode_components(systems)
+    bundles, components = encode_components(systems)
     if any(bundle.h_obd.is_empty() for bundle in bundles):
         return True, ()
     product = compose_all([comp.automaton for comp in components])

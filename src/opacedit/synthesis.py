@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .abstraction import AbstractionBundle, abstract_component
 from .automata import Automaton, InvalidAutomaton, restrict, synchronous_product
 from .constraint import build_constraint_automaton
-from .tpo import Tpo, build_largest_tpo
-from .transform import TransformedAutomaton, transform_modular
+from .tpo import explore_largest_tpo
+from .transform import TransformedAutomaton, encode_plain
 
 
 def _tuple_name(parts: Sequence[str]) -> str:
@@ -154,21 +154,17 @@ class ModularEditStructure:
 
 def encode_components(
     systems: Sequence[Automaton],
-) -> tuple[tuple[AbstractionBundle, ...], tuple[Tpo, ...], tuple[TransformedAutomaton, ...]]:
-    """Abstract each component, build the largest TPO of its observers and
-    encode the TPOs for modular composition; component ``g`` is encoded as
-    ``g.name^T``."""
+) -> tuple[tuple[AbstractionBundle, ...], tuple[TransformedAutomaton, ...]]:
+    """Abstract each component, explore the largest TPO of its observers and
+    encode it for modular composition; component ``g`` is encoded as
+    ``g.name^T``.  The TPOs stay plain data and are never built as graphs."""
     bundles = tuple(abstract_component(g) for g in systems)
-    tpos = tuple(
-        build_largest_tpo(bundle.h_obd, bundle.h_b, name=f"tpo{i}")
-        for i, bundle in enumerate(bundles)
-    )
-    components = transform_modular(
-        tpos,
+    components = encode_plain(
+        [explore_largest_tpo(bundle.h_obd, bundle.h_b) for bundle in bundles],
         [bundle.abstracted.events for bundle in bundles],
         names=[f"{g.name}^T" for g in systems],
     )
-    return bundles, tpos, components
+    return bundles, components
 
 
 def synthesize_modular_edit_structure(
@@ -176,14 +172,14 @@ def synthesize_modular_edit_structure(
     max_erasures: int,
     log: Callable[[str], None] | None = None,
 ) -> ModularEditStructure:
-    """Full pipeline: abstract each component, build its TPO, encode, compose
+    """Full pipeline: abstract each component, explore and encode its TPO, compose
     with the erasure constraint and synthesize the supervisor.
 
     An empty supervisor (or an empty desired observer for some component)
     does not raise; it is reported through ``diagnostics`` so callers can
     distinguish "no edit function exists" from bad input.
     """
-    bundles, _, components = encode_components(systems)
+    bundles, components = encode_components(systems)
     diagnostics = [
         f"opacity unenforceable for component {i}: empty desired observer"
         for i, bundle in enumerate(bundles)

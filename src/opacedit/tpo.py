@@ -18,16 +18,20 @@ decision, W states with no delivery, and Y states one of whose system events
 leads into a removed Z state.  Y states with no outgoing transition are legal:
 the system may simply have nothing left to say.
 
-A state is its ``TpoState`` value: transitions, the initial state and every
-table in this module hold the values themselves.  Names are rendered only at
-the boundary, by ``state_names``, for documents, DOT and the encoding.
+``explore_largest_tpo`` holds the game rules, over plain data: a state is the
+tuple of its fields, a transition ``(source position, class, label, target
+position)``; synthesis encodes that data directly.  ``build_largest_tpo``
+wraps it into a graph, where a state is its ``TpoState`` value: transitions,
+the initial state and every table in this module hold the values themselves.
+Names are rendered from a state's fields only at the boundary, by
+``state_name``, for documents, DOT and the encoding.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .automata import EPSILON, Automaton, Event, InvalidAutomaton, erasure_symbol, language_upto
 from .estimation import Observer, desired_observer, determinize
@@ -58,35 +62,60 @@ class TpoState:
 
     @property
     def name(self) -> str:
-        # The committed delivery (W, not erased) carries a "!" so its name
-        # cannot collide with the Z state holding the same pending event.
-        core = f"({self.x_d},{self.x_f})"
-        if self.kind == Z:
-            core = f"({core},{self.event})"
-        elif self.kind == W:
-            shown = erasure_symbol(self.action) if self.erased else f"{self.action}!"
-            core = f"({core},{shown})"
-        if self.count is not None:
-            core = f"{core}#{self.count}"
-        return core
+        return state_name(self.kind, self.x_d, self.x_f, self.event, self.action, self.erased, self.count)
 
 
-def state_names(states: Iterable[TpoState]) -> dict[TpoState, str]:
-    """The rendered name of each state, computed once.  Two states that render
-    alike (events named ``a`` and ``a!``, say) could not be told apart in a
-    document or an encoding, so they are an error, not a silent merge."""
-    names: dict[TpoState, str] = {}
+def state_name(
+    kind: str,
+    x_d: str,
+    x_f: str,
+    event: str | None = None,
+    action: str | None = None,
+    erased: bool = False,
+    count: int | None = None,
+) -> str:
+    """The name of the state with these fields (those of ``TpoState``)."""
+    # The committed delivery (W, not erased) carries a "!" so its name
+    # cannot collide with the Z state holding the same pending event.
+    core = f"({x_d},{x_f})"
+    if kind == Z:
+        core = f"({core},{event})"
+    elif kind == W:
+        shown = erasure_symbol(action) if erased else f"{action}!"
+        core = f"({core},{shown})"
+    if count is not None:
+        core = f"{core}#{count}"
+    return core
+
+
+def render_names(states: Iterable[tuple]) -> list[str]:
+    """The name of each state, given as the tuple of its fields, rendered
+    once.  Two states that render alike (events named ``a`` and ``a!``, say)
+    could not be told apart in a document or an encoding, so they are an
+    error, not a silent merge."""
+    names: list[str] = []
     rendered: set[str] = set()
-    for st in states:
-        name = st.name
+    for fields in states:
+        name = state_name(*fields)
         if name in rendered:
             raise InvalidAutomaton(
                 f"two TPO states are both named {name!r}: event names such as"
                 " 'a!' or 'a→ε' beside 'a' make game states read alike"
             )
         rendered.add(name)
-        names[st] = name
+        names.append(name)
     return names
+
+
+def state_fields(st: TpoState) -> tuple:
+    """The fields of ``st``, as the plain form holds a state."""
+    return (st.kind, st.x_d, st.x_f, st.event, st.action, st.erased, st.count)
+
+
+def state_names(states: Iterable[TpoState]) -> dict[TpoState, str]:
+    """The rendered name of each state, as ``render_names`` gives it."""
+    states = tuple(states)
+    return dict(zip(states, render_names(map(state_fields, states))))
 
 
 @dataclass(frozen=True)
@@ -117,6 +146,17 @@ class Tpo:
         return table
 
 
+class PlainTpo(NamedTuple):
+    """A TPO as plain data: each state as the tuple of its ``TpoState``
+    fields, each transition as ``(source position, class, label, target
+    position)`` and the initial state by its position."""
+
+    events: tuple[Event, ...]
+    states: Sequence[tuple]
+    transitions: Sequence[tuple[int, str, str, int]]
+    initial: int | None
+
+
 def largest_tpo(g: Automaton, name: str = "tpo") -> Tpo:
     """The largest TPO of ``g`` over its exact observer and desired observer,
     without abstraction."""
@@ -124,8 +164,9 @@ def largest_tpo(g: Automaton, name: str = "tpo") -> Tpo:
     return build_largest_tpo(desired_observer(observer), observer, name=name)
 
 
-def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
-    """Construct the largest TPO from a desired observer and a full observer.
+def explore_largest_tpo(obsd: Observer, obs: Observer) -> PlainTpo:
+    """The largest TPO over a desired observer and a full observer, as plain
+    data: states in discovery order, the initial state first.
 
     Every transition admissible under the game rules is present.  When the
     desired observer is empty even the empty output betrays the secret, so no
@@ -133,60 +174,63 @@ def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
     """
     det_f = obs.automaton
     if obs.initial is None or obsd.initial is None:
-        return Tpo(name=name, events=det_f.events, states=(), transitions=(), initial=None)
+        return PlainTpo(det_f.events, [], [], None)
     # Each observer's (x, event) -> x'; the first target wins, as in ``successors``.
     d_next = {(src, label): dst for src, label, dst in reversed(obsd.automaton.transitions)}
     f_next = {(src, label): dst for src, label, dst in reversed(det_f.transitions)}
     observable = sorted(ev.name for ev in det_f.events if ev.observable)
-    # A state is found by its fields and constructed once; transitions share it.
-    index: dict[tuple, TpoState] = {}
-    transitions: list[TpoTransition] = []
-    queue: deque[TpoState] = deque()
+    # A state is found by its fields; ``states`` doubles as the queue.
+    index: dict[tuple, int] = {}
+    states: list[tuple] = []
+    transitions: list[tuple[int, str, str, int]] = []
 
-    def admit(
-        kind: str, x_d: str, x_f: str, event: str | None = None, action: str | None = None, erased: bool = False
-    ) -> TpoState:
-        key = (kind, x_d, x_f, event, action, erased)
-        known = index.get(key)
-        if known is None:
-            index[key] = known = TpoState(kind, x_d, x_f, event, action, erased)
-            queue.append(known)
-        return known
+    def admit(fields: tuple) -> int:
+        pos = index.get(fields)
+        if pos is None:
+            index[fields] = pos = len(states)
+            states.append(fields)
+        return pos
 
-    y0 = admit(Y, obsd.initial, obs.initial)
-    while queue:
-        here = queue.popleft()
-        x_d, x_f = here.x_d, here.x_f
-        if here.kind == Y:
+    admit((Y, obsd.initial, obs.initial, None, None, False, None))
+    for here, (kind, x_d, x_f, pending, action, erased, _) in enumerate(states):
+        if kind == Y:
             for event in observable:
                 if (x_f, event) in f_next:
-                    transitions.append(TpoTransition(here, YZ, event, admit(Z, x_d, x_f, event)))
-        elif here.kind == Z:
-            pending = here.event
+                    transitions.append((here, YZ, event, admit((Z, x_d, x_f, event, None, False, None))))
+        elif kind == Z:
             for theta in observable:
                 nxt_d = d_next.get((x_d, theta))
                 if nxt_d is not None:
-                    transitions.append(TpoTransition(here, ZZ, theta, admit(Z, nxt_d, x_f, pending)))
+                    transitions.append((here, ZZ, theta, admit((Z, nxt_d, x_f, pending, None, False, None))))
             if (x_f, pending) in f_next:
                 if (x_d, pending) in d_next:
-                    transitions.append(TpoTransition(here, ZW1, EPSILON, admit(W, x_d, x_f, None, pending)))
-                w = admit(W, x_d, x_f, None, pending, True)
-                transitions.append(TpoTransition(here, ZW2, erasure_symbol(pending), w))
+                    transitions.append((here, ZW1, EPSILON, admit((W, x_d, x_f, None, pending, False, None))))
+                w = admit((W, x_d, x_f, None, pending, True, None))
+                transitions.append((here, ZW2, erasure_symbol(pending), w))
         else:
-            event = here.action
-            nxt_f = f_next.get((x_f, event))
+            nxt_f = f_next.get((x_f, action))
             if nxt_f is None:
                 continue
-            if here.erased:
-                transitions.append(TpoTransition(here, WY2, event, admit(Y, x_d, nxt_f)))
-            elif (nxt_d := d_next.get((x_d, event))) is not None:
-                transitions.append(TpoTransition(here, WY1, event, admit(Y, nxt_d, nxt_f)))
+            if erased:
+                transitions.append((here, WY2, action, admit((Y, x_d, nxt_f, None, None, False, None))))
+            elif (nxt_d := d_next.get((x_d, action))) is not None:
+                transitions.append((here, WY1, action, admit((Y, nxt_d, nxt_f, None, None, False, None))))
+    return PlainTpo(det_f.events, states, transitions, 0)
+
+
+def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
+    """The largest TPO of ``explore_largest_tpo`` as a graph of ``TpoState``
+    values, with the same states, transitions and order."""
+    plain = explore_largest_tpo(obsd, obs)
+    states = tuple(TpoState(*fields) for fields in plain.states)
     return Tpo(
         name=name,
-        events=det_f.events,
-        states=tuple(index.values()),
-        transitions=tuple(transitions),
-        initial=y0,
+        events=plain.events,
+        states=states,
+        transitions=tuple(
+            TpoTransition(states[src], cls, label, states[dst]) for src, cls, label, dst in plain.transitions
+        ),
+        initial=None if plain.initial is None else states[plain.initial],
     )
 
 

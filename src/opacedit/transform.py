@@ -6,6 +6,10 @@ distinguishable.  System arrivals and deliveries are uncontrollable; insert,
 stop and erase decisions are controllable.  Y states are marked; the result
 is deterministic by construction.
 
+``encode_plain`` encodes TPOs given as plain data (``tpo.PlainTpo``), as
+synthesis explores them; ``transform_modular`` and ``transform_monolithic``
+flatten ``Tpo`` graphs into that form first.
+
 ``MOVES`` declares each decoration kind once: the TPO transition class it
 encodes, how its name is spelled, its controllability and its role in a step.
 
@@ -35,7 +39,7 @@ from .automata import (
     Transition,
     erasure_symbol,
 )
-from .tpo import Tpo, TpoTransition, Y, YZ, Z, ZW1, ZW2, ZZ, WY1, WY2, state_names
+from .tpo import PlainTpo, Tpo, Y, YZ, Z, ZW1, ZW2, ZZ, WY1, WY2, render_names, state_fields
 
 SYSTEM = "system"
 INSERT = "insert"
@@ -151,13 +155,13 @@ def decoration_table(components: Iterable[TransformedAutomaton]) -> dict[str, De
     return table
 
 
-def _decorate(tr: TpoTransition, pending: str) -> DecoratedEvent:
+def _decorate(cls: str, label: str, pending: str | None) -> DecoratedEvent:
     """A decision's context is the pending event, a delivery's its own label;
     an erasure's base is the pending event it erases."""
-    kind = _KIND_OF_CLASS[tr.cls]
+    kind = _KIND_OF_CLASS[cls]
     role = MOVES[kind].role
-    base = EPSILON if kind == STOP else pending if kind == ERASE else tr.label
-    context = pending if role == DECISION else tr.label if role == DELIVERY else None
+    base = EPSILON if kind == STOP else pending if kind == ERASE else label
+    context = pending if role == DECISION else label if role == DELIVERY else None
     return DecoratedEvent(kind=kind, base=base, context=context)
 
 
@@ -167,12 +171,35 @@ def transform_monolithic(t: Tpo, name: str | None = None) -> TransformedAutomato
     return transform_modular([t], [t.events], names=[name or f"{t.name}^T"])[0]
 
 
+def _plain(t: Tpo) -> PlainTpo:
+    position = {st: i for i, st in enumerate(t.states)}
+    return PlainTpo(
+        events=t.events,
+        states=[state_fields(st) for st in t.states],
+        transitions=[(position[tr.source], tr.cls, tr.label, position[tr.target]) for tr in t.transitions],
+        initial=position.get(t.initial),
+    )
+
+
 def transform_modular(
     ts: Sequence[Tpo],
     alphabets: Sequence[Iterable[Event]],
     names: Sequence[str] | None = None,
 ) -> tuple[TransformedAutomaton, ...]:
-    """Encode each component TPO as a plant automaton for modular composition.
+    """Encode each component TPO as a plant automaton for modular
+    composition, as ``encode_plain`` does; component ``i`` is named
+    ``names[i]``, by default its TPO's name with ``^T``."""
+    names = names or [f"{t.name}^T" for t in ts]
+    return encode_plain([_plain(t) for t in ts], alphabets, names)
+
+
+def encode_plain(
+    ts: Sequence[PlainTpo],
+    alphabets: Sequence[Iterable[Event]],
+    names: Sequence[str],
+) -> tuple[TransformedAutomaton, ...]:
+    """Encode each component TPO, given as plain data, as a plant automaton
+    named ``names[i]`` for modular composition.
 
     The alphabet contains, besides the actual transitions' events, every
     decorated decision that is possible in principle for the TPO: inserts of
@@ -219,8 +246,10 @@ def transform_modular(
     sigma = [{label for label, ev in events.items() if ev.observable} for events in declared]
     results = []
     for i, t in enumerate(ts):
-        rendered = state_names(t.states)
-        contexts = sorted({st.event for st in t.states if st.kind == Z})
+        rendered = render_names(t.states)
+        # The pending event of each state; only a Z state has one.
+        pending = [fields[3] if fields[0] == Z else None for fields in t.states]
+        contexts = sorted(set(pending) - {None})
         alphabet = sorted(ev.name for ev in t.events if ev.observable)
         possible = [DecoratedEvent(kind=SYSTEM, base=base) for base in alphabet]
         for context in contexts:
@@ -228,26 +257,20 @@ def transform_modular(
             possible.append(DecoratedEvent(kind=STOP, base=EPSILON, context=context))
             possible.append(DecoratedEvent(kind=ERASE, base=context, context=context))
         decorations = {dec.name: dec for dec in possible}
-        # Each distinct (class, label, pending event) is decorated and named
-        # once; consecutive transitions from one source look its name up once.
+        # Each distinct (class, label, pending event) is decorated and named once.
         labels: dict[tuple[str, str, str | None], str] = {}
         transitions: list[Transition] = []
-        source = src_name = None
-        for tr in t.transitions:
-            if tr.source is not source:
-                source = tr.source
-                src_name = rendered[source]
-            key = (tr.cls, tr.label, source.event if source.kind == Z else None)
-            label = labels.get(key)
-            if label is None:
-                dec = _decorate(tr, key[2])
-                labels[key] = label = dec.name
-                decorations[label] = dec
-            transitions.append((src_name, label, rendered[tr.target]))
-        start = rendered.get(t.initial)
+        for src, cls, label, dst in t.transitions:
+            key = (cls, label, pending[src])
+            decorated = labels.get(key)
+            if decorated is None:
+                dec = _decorate(*key)
+                labels[key] = decorated = dec.name
+                decorations[decorated] = dec
+            transitions.append((rendered[src], decorated, rendered[dst]))
         states = tuple(
-            State(name=name, initial=(name == start), marked=(st.kind == Y), secret=False)
-            for st, name in rendered.items()
+            State(name, pos == t.initial, fields[0] == Y)
+            for pos, (fields, name) in enumerate(zip(t.states, rendered))
         )
 
         local = sigma[i]
@@ -268,13 +291,13 @@ def transform_modular(
                         decorations[dec.name] = dec
 
         automaton = Automaton(
-            name=names[i] if names else f"{t.name}^T",
+            name=names[i],
             events=tuple(decorations[label].event() for label in sorted(decorations)),
             states=states,
             transitions=tuple(transitions),
         )
         if not automaton.is_deterministic:
             raise InvalidAutomaton("transformed TPO is not deterministic")
-        origins = {name: st.kind for st, name in rendered.items()}
+        origins = {name: fields[0] for fields, name in zip(t.states, rendered)}
         results.append(TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations))
     return tuple(results)

@@ -15,6 +15,7 @@ from opacedit import (
     InvalidAutomaton,
     RandomSpec,
     State,
+    build_largest_tpo,
     demo_g1,
     demo_g2,
     demo_pair,
@@ -115,7 +116,8 @@ def _assert_written_as_reference(x):
 def _documents(systems, k=1):
     """Each component, its largest TPO (counted to ``k`` erasures too), its
     encoding and the structure synthesized from all of them."""
-    _, tpos, components = encode_components(systems)
+    bundles, components = encode_components(systems)
+    tpos = [build_largest_tpo(b.h_obd, b.h_b, name=f"tpo{i}") for i, b in enumerate(bundles)]
     m = synthesize_modular_edit_structure(systems, k)
     return [*systems, *tpos, *(prune_to_aes(t, k) for t in tpos), *components, m, m.supervisor]
 

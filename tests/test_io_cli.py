@@ -624,6 +624,28 @@ def _set_first_class(cls):
     return edit
 
 
+def _relabel_first(cls, label):
+    def edit(doc):
+        index = next(i for i, tr in enumerate(doc["transitions"]) if tr[1] == cls)
+        doc["transitions"][index][2] = label
+        return f"$.transitions[{index}][2]"
+
+    return edit
+
+
+def _change_pending_on_insert(doc):
+    index = next(i for i, tr in enumerate(doc["transitions"]) if tr[1] == "zz")
+    pending = doc["transitions"][index][3].rsplit(",", 1)[1]
+    other = next(tr[3] for tr in doc["transitions"] if tr[1] == "yz" and not tr[3].endswith("," + pending))
+    doc["transitions"][index][3] = other
+    return f"$.transitions[{index}][2]"
+
+
+def _start_at_z_state(doc):
+    doc["initial"] = doc["transitions"][0][3]
+    return "$.initial: the initial state"
+
+
 def _set_boolean_count(doc):
     doc["states"][0]["count"] = True
     return "$.states[0].count: expected an integer, got True"
@@ -653,6 +675,14 @@ def _set_initial(value):
         _set_boolean_count,
         _set_initial([]),
         _set_initial({}),
+        _relabel_first("yz", "alpha"),
+        _relabel_first("zz", "tau"),
+        _change_pending_on_insert,
+        _relabel_first("zw1", "gamma"),
+        _relabel_first("zw2", "alpha→ε"),
+        _relabel_first("wy1", "alpha"),
+        _relabel_first("wy2", "ε"),
+        _start_at_z_state,
     ],
     ids=[
         "kind",
@@ -668,6 +698,14 @@ def _set_initial(value):
         "count",
         "initial-list",
         "initial-object",
+        "yz-label",
+        "zz-label",
+        "zz-pending",
+        "zw1-label",
+        "zw2-label",
+        "wy1-label",
+        "wy2-label",
+        "initial-z",
     ],
 )
 def test_cli_export_dot_rejects_invalid_tpo_document(tmp_path, edit):

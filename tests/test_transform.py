@@ -28,7 +28,8 @@ from opacedit.cli import main
 from opacedit.documents import serialize_automaton
 from opacedit.oracle import RandomSpec, random_pair, random_system
 from opacedit.synthesis import encode_components
-from opacedit.tpo import TpoState, Y, Z
+from opacedit import tpo as tpo_module
+from opacedit.tpo import Y, Z
 from opacedit.transform import (
     DELIVER,
     DELIVER_ERASED,
@@ -197,7 +198,7 @@ def _reference_monolithic(t, name=None):
     decorations = {}
     for tr in t.transitions:
         pending = tr.source.event if tr.source.kind == Z else None
-        dec = _decorate(tr, pending)
+        dec = _decorate(tr.cls, tr.label, pending)
         if dec.name not in events:
             events[dec.name] = dec.event()
         decorations[dec.name] = dec
@@ -277,7 +278,8 @@ def _assert_same_encodings(got, want):
 def _assert_one_path(systems):
     """The single builder agrees with the reference copies; returns the K0
     product of the components."""
-    bundles, tpos, components = encode_components(systems)
+    bundles, components = encode_components(systems)
+    tpos = [build_largest_tpo(b.h_obd, b.h_b, name=f"tpo{i}") for i, b in enumerate(bundles)]
     alphabets = [b.abstracted.events for b in bundles]
     names = [f"{g.name}^T" for g in systems]
     _assert_same_encodings(components, _reference_modular(tpos, alphabets, names=names))
@@ -291,8 +293,39 @@ def _counts(systems):
     return bool(_assert_one_path(systems).states)
 
 
+# Pieces of the names TPO states are rendered from, and legal event names
+# that read like them or like decorations.
+_STATE_PIECES = [",", "{}", "()", "|", "#", "→", "é", "Ω"]
+_EVENT_NAMES = ["stop", "ins", "α,β", "{b}", "(c)|", "#d", "e→f", "ü!"]
+
+
+def _awkward(systems):
+    """``systems`` with every state and event renamed to an awkward but legal
+    name; events shared between components stay shared."""
+    events = sorted({ev.name for g in systems for ev in g.events})
+    rename = {ev: _EVENT_NAMES[k] + _EVENT_NAMES[-1 - k] for k, ev in enumerate(events)}
+    renamed = []
+    for g in systems:
+        table = {
+            st.name: f"{_STATE_PIECES[k % 8]}{st.name}{_STATE_PIECES[(k + 3) % 8]}"
+            for k, st in enumerate(g.states)
+        }
+        renamed.append(
+            Automaton(
+                name=g.name,
+                events=tuple(replace(ev, name=rename[ev.name]) for ev in g.events),
+                states=tuple(replace(st, name=table[st.name]) for st in g.states),
+                transitions=tuple(
+                    (table[src], rename.get(label, label), table[dst]) for src, label, dst in g.transitions
+                ),
+            )
+        )
+    return renamed
+
+
 def test_one_path_matches_reference_on_demo_pair():
     assert _counts(list(demo_pair()))
+    assert _counts(_awkward(demo_pair()))
 
 
 def test_one_path_matches_reference_on_random_pairs():
@@ -305,6 +338,7 @@ def test_one_path_matches_reference_on_random_pairs():
 def test_one_path_matches_reference_on_rings_of_three(ring):
     counts = [_counts(ring(seed)) for seed in range(16)]
     assert sum(counts) >= 12
+    assert _counts(_awkward(ring(0)))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -316,20 +350,20 @@ def test_monolithic_is_the_one_component_case(seed):
 
 
 def test_encoding_renders_each_tpo_state_name_once(monkeypatch, ring):
-    render = TpoState.name.fget
+    render = tpo_module.state_name
     calls = []
 
-    def counted(state):
-        calls.append(state)
-        return render(state)
+    def counted(*fields):
+        calls.append(fields)
+        return render(*fields)
 
-    monkeypatch.setattr(TpoState, "name", property(counted))
+    monkeypatch.setattr(tpo_module, "state_name", counted)
     for systems in (list(demo_pair()), ring(0)):
         calls.clear()
-        _, tpos, _ = encode_components(systems)
-        rendered = sum(len(t.states) for t in tpos)
+        _, components = encode_components(systems)
+        rendered = sum(len(comp.origins) for comp in components)
         assert rendered > 0
-        assert len(calls) <= rendered
+        assert len(calls) == rendered
 
 
 def _renamed(g, table):
