@@ -11,7 +11,9 @@ from opacedit import (
     TAU,
     abstract_component,
     bisimulation_partition,
+    determinize,
     language_upto,
+    opaque_bisimulation_partition,
     opaque_observation_equivalence_partition,
     quotient,
     random_system,
@@ -87,6 +89,17 @@ def test_abstraction_preserves_observable_language(seed):
     part = opaque_observation_equivalence_partition(g)
     q = quotient(g, part)
     assert language_upto(q, 4) == language_upto(g, 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_opaque_bisimulation_never_mixes_secret_and_safe_estimates(seed):
+    # why an observer state's secret flag is exact on h_ob
+    bundle = abstract_component(random_system(RandomSpec(seed=seed, max_states=5, alphabet_size=3)))
+    observer = determinize(bundle.abstracted)
+    secret = observer.automaton.secret_states
+    for block in opaque_bisimulation_partition(observer).blocks:
+        assert block <= secret or not block & secret
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,9 +7,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from opacedit import serialize_document, synthesize_modular_edit_structure
+from opacedit import (
+    abstract_component,
+    serialize_automaton,
+    serialize_document,
+    synthesize_modular_edit_structure,
+)
 from opacedit.cli import main
-from opacedit.oracle import RandomSpec, random_pair
+from opacedit.oracle import RandomSpec, random_pair, random_system
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 G1 = str(DATA / "demo_g1.json")
@@ -21,18 +26,49 @@ def _digest(data: bytes) -> str:
 
 
 @pytest.mark.parametrize(
-    "args, digest",
+    "args, exit_code, digest",
     [
-        (["tpo", G1], "17e154aa6572d023"),
-        (["transform", G1], "c8f9e6caf7dadc5f"),
-        (["synthesize", G1, G2, "-k", "1"], "b4612c604c52fd73"),
+        (["tpo", G1], 0, "17e154aa6572d023"),
+        (["transform", G1], 0, "c8f9e6caf7dadc5f"),
+        (["synthesize", G1, G2, "-k", "1"], 0, "b4612c604c52fd73"),
+        # both components and their composition are not opaque
+        (["verify-opacity", G1, G2], 1, "c070f66f0ffcacc3"),
     ],
-    ids=["tpo", "transform", "synthesize"],
+    ids=["tpo", "transform", "synthesize", "verify-opacity"],
 )
-def test_demo_stdout_is_pinned(args, digest):
+def test_demo_stdout_is_pinned(args, exit_code, digest):
     result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == exit_code, result.output
     assert _digest(result.stdout_bytes) == digest
+
+
+@pytest.mark.parametrize(
+    "source, stdout, files",
+    [
+        (G1, "54488490837f7e0d", ["1640de95b4c59eaf", "8944ad021d7176ab", "41a8b5e0a3138fb9", "a6fc35b31b2fc383"]),
+        (G2, "b6af4f77c892c209", ["580601c970939ed8", "fc87ba620a2d7ea2", "1e84030df214851c", "c2b38788cbe183a6"]),
+    ],
+    ids=["G1", "G2"],
+)
+def test_demo_abstract_bundle_is_pinned(tmp_path, source, stdout, files):
+    result = CliRunner().invoke(main, ["abstract", source, "-o", str(tmp_path / "b")])
+    assert result.exit_code == 0, result.output
+    assert _digest(result.stdout_bytes) == stdout
+    kinds = ("abstracted", "desired", "observer-bisim", "observer-opaque")
+    assert [_digest((tmp_path / f"b.{kind}.json").read_bytes()) for kind in kinds] == files
+
+
+def test_observers_with_a_mixed_bisimulation_block_are_pinned():
+    # h_b merges the safe estimate {q1} with the secret-only {q2}
+    bundle = abstract_component(random_system(RandomSpec(seed=0)))
+    assert "{{q1},{q2}}" in bundle.h_b.automaton.secret_states
+    automata = (bundle.abstracted, bundle.h_b.automaton, bundle.h_ob.automaton, bundle.h_obd.automaton)
+    assert [_digest(serialize_automaton(a).encode("utf-8")) for a in automata] == [
+        "943860c0e248d1a4",
+        "e5208d41f25c89d8",
+        "03f14aea34498ebe",
+        "e9b1ed4e8522c66a",
+    ]
 
 
 def test_demo_modular_encodings_are_pinned(tmp_path):
