@@ -14,7 +14,6 @@ from .abstraction import (
     bisimulation_partition,
     opaque_bisimulation_partition,
     opaque_observation_equivalence_partition,
-    observer_quotient,
 )
 from .automata import (
     EPSILON,
@@ -28,7 +27,6 @@ from .automata import (
     deterministic_isomorphic,
     erasure_symbol,
     language_upto,
-    project,
     quotient,
 )
 from .constraint import ConstraintSpec, build_constraint_automaton, constraint_alphabet
@@ -42,7 +40,6 @@ from .documents import (
 )
 from .dot import export_dot
 from .estimation import (
-    Estimate,
     Observer,
     OpacityReport,
     check_current_state_opacity,
@@ -72,18 +69,14 @@ from .synthesis import (
     synthesize_modular_edit_structure,
 )
 from .tpo import (
-    Run,
     Tpo,
     TpoState,
     TpoTransition,
     build_largest_tpo,
     check_complete,
     constrain_erasures,
-    edit_projection,
-    iter_runs,
     largest_tpo,
     prune_to_aes,
-    run_string,
 )
 from .transform import (
     DecoratedEvent,
@@ -103,7 +96,6 @@ __all__ = [
     "DecoratedEvent",
     "DocumentError",
     "EPSILON",
-    "Estimate",
     "Event",
     "InvalidAutomaton",
     "ModularEditStructure",
@@ -113,7 +105,6 @@ __all__ = [
     "Partition",
     "ProductPlant",
     "RandomSpec",
-    "Run",
     "SafetyReport",
     "Session",
     "State",
@@ -146,13 +137,10 @@ __all__ = [
     "desired_observer",
     "determinize",
     "deterministic_isomorphic",
-    "edit_projection",
     "erasure_symbol",
     "export_dot",
-    "iter_runs",
     "language_upto",
     "largest_tpo",
-    "observer_quotient",
     "opaque_bisimulation_partition",
     "opaque_observation_equivalence_partition",
     "open_session",
@@ -160,13 +148,11 @@ __all__ = [
     "parse_decorated",
     "parse_document",
     "product_plant",
-    "project",
     "prune_to_aes",
     "quotient",
     "random_pair",
     "random_system",
     "run_label",
-    "run_string",
     "run_suite",
     "serialize_automaton",
     "serialize_document",

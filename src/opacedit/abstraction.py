@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .automata import TAU, Automaton, Partition, block_name, quotient
-from .estimation import Estimate, Observer, desired_observer, determinize, unobservable_reach
+from .automata import TAU, Automaton, Partition, quotient
+from .estimation import Observer, desired_observer, determinize, unobservable_reach
 
 
 def _refine(
@@ -96,23 +96,11 @@ def opaque_observation_equivalence_partition(a: Automaton) -> Partition:
 
 def opaque_bisimulation_partition(o: Observer) -> Partition:
     """Coarsest strong bisimulation on an observer that never merges a
-    revealing (secret-only) estimate with a safe one."""
+    revealing (secret) state with a safe one."""
     base = o.automaton
     edges = {st.name: base.outgoing(st.name) for st in base.states}
-    split = {label: o.estimates[label].secret_only for label in (st.name for st in base.states)}
+    split = {st.name: st.secret for st in base.states}
     return _refine([st.name for st in base.states], edges, split)
-
-
-def observer_quotient(o: Observer, partition: Partition, name: str | None = None) -> Observer:
-    """Quotient an observer; merged estimates take the union of their members."""
-    aut = quotient(o.automaton, partition, name=name)
-    estimates: dict[str, Estimate] = {}
-    for block in partition.blocks:
-        label = block_name(block)
-        members = frozenset().union(*(o.estimates[m].members for m in block))
-        secret_only = all(o.estimates[m].secret_only for m in block)
-        estimates[label] = Estimate(name=label, members=members, secret_only=secret_only)
-    return Observer(automaton=aut, estimates=estimates)
 
 
 @dataclass(frozen=True)
@@ -122,7 +110,10 @@ class AbstractionBundle:
     ``abstracted`` is the quotient under opaque observation equivalence;
     ``h_b`` quotients the abstracted observer by plain bisimulation and plays
     the full-information role; ``h_ob`` quotients it by opaque bisimulation
-    and ``h_obd`` is its desired (safe) part.
+    and ``h_obd`` is its desired (safe) part.  Plain bisimulation may merge a
+    secret-only estimate with a safe one, so a state of ``h_b`` is flagged
+    secret when some member of its block is.  No stage reads that flag; it
+    shows only in the ``observer-bisim.json`` file written by ``abstract``.
     """
 
     component: Automaton
@@ -132,23 +123,15 @@ class AbstractionBundle:
     h_b: Observer
     h_obd: Observer
 
-    def expand_estimate(self, estimate: Estimate) -> frozenset[str]:
-        """Translate estimate members (abstract block names) back to original
-        component states."""
-        block_by_name = {block_name(block): block for block in self.partition.blocks}
-        names: set[str] = set()
-        for member in estimate.members:
-            names.update(block_by_name[member])
-        return frozenset(names)
-
 
 def abstract_component(g: Automaton) -> AbstractionBundle:
     """Full abstraction pipeline for one component."""
     partition = opaque_observation_equivalence_partition(g)
     abstracted = quotient(g, partition, name=f"{g.name}~")
     observer = determinize(abstracted)
-    h_b = observer_quotient(observer, bisimulation_partition(observer.automaton), name=f"obs({g.name})")
-    h_ob = observer_quotient(observer, opaque_bisimulation_partition(observer), name=f"obs_o({g.name})")
+    det = observer.automaton
+    h_b = Observer(quotient(det, bisimulation_partition(det), name=f"obs({g.name})"))
+    h_ob = Observer(quotient(det, opaque_bisimulation_partition(observer), name=f"obs_o({g.name})"))
     h_obd = desired_observer(h_ob, name=f"obsd({g.name})")
     return AbstractionBundle(
         component=g,

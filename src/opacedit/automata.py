@@ -15,7 +15,7 @@ declared alphabet.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import contains
@@ -372,12 +372,6 @@ def quotient(a: Automaton, partition: Partition, name: str | None = None) -> Aut
         states=tuple(states),
         transitions=tuple(sorted(transitions)),
     )
-
-
-def project(string: Sequence[str], keep: Iterable[str]) -> tuple[str, ...]:
-    """Natural projection of an event string onto the event subset ``keep``."""
-    keep = {ev.name if isinstance(ev, Event) else ev for ev in keep}
-    return tuple(symbol for symbol in string if symbol in keep)
 
 
 def language_upto(a: Automaton, depth: int) -> set[tuple[str, ...]]:

@@ -73,13 +73,12 @@ def _optional_string(value: Any, path: str) -> str | None:
     return None if value is None else _expect_string(value, path)
 
 
-# The readers below check each entry's types inline and format no path for
-# it; an entry that fails the inline check goes through the ``_expect_*``
-# reader, which raises at the entry's path (or accepts the few values the
-# inline check leaves to it, such as a ``dict`` subclass).
+# Apart from TPO states, the readers below check each entry's types inline
+# and format no path for it; an entry that fails the inline check goes
+# through the ``_expect_*`` reader, which raises at the entry's path (or
+# accepts the few values the inline check leaves to it, such as a ``dict``
+# subclass).
 _FLAG = (bool, type(None))
-_OPTIONAL_STRING = (str, type(None))
-_OPTIONAL_INT = (int, type(None))
 
 
 def _event_from_dict(entry: Any, here: str) -> Event:
@@ -240,24 +239,10 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
     doc = _expect_object(doc, path)
     name = _expect_string(doc.get("name", "tpo"), f"{path}.name")
     events = _events_from_dict(doc, path)
-    states = []
-    for i, entry in enumerate(_expect_list(doc.get("states", []), f"{path}.states")):
-        if (
-            type(entry) is dict
-            and type(count := entry.get("count")) in _OPTIONAL_INT
-            and type(kind := entry.get("kind")) is str
-            and kind in KINDS
-            and type(x_d := entry.get("x_d")) is str
-            and type(x_f := entry.get("x_f")) is str
-            and type(event := entry.get("event")) in _OPTIONAL_STRING
-            and type(action := entry.get("action")) in _OPTIONAL_STRING
-            and type(erased := entry.get("erased")) in _FLAG
-            and (kind != Z or event is not None)
-            and (kind != W or action is not None)
-        ):
-            states.append(TpoState(kind, x_d, x_f, event, action, erased is True, count))
-        else:
-            states.append(_tpo_state_from_dict(entry, f"{path}.states[{i}]"))
+    states = [
+        _tpo_state_from_dict(entry, f"{path}.states[{i}]")
+        for i, entry in enumerate(_expect_list(doc.get("states", []), f"{path}.states"))
+    ]
     try:
         names = state_names(states)
     except InvalidAutomaton as err:

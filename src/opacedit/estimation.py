@@ -2,28 +2,20 @@
 
 The observer of a nondeterministic automaton is the usual subset construction
 over observable events, with the unobservable reach folded in.  Each observer
-state carries the estimate (the set of possible underlying states); an
-estimate that contains only secret states reveals the secret.  The desired
-observer removes those revealing estimates and keeps the accessible part; its
-language is exactly the set of safe observations.
+state is named by its estimate (the set of possible underlying states) and is
+flagged secret when that estimate contains only secret states, that is, when
+the observation reveals the secret.  The desired observer removes those
+revealing states and keeps the accessible part; its language is exactly the
+set of safe observations.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .automata import TAU, Automaton, State, Transition, restrict
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A set of possible underlying states, with its canonical name."""
-
-    name: str
-    members: frozenset[str]
-    secret_only: bool
 
 
 def estimate_name(members: Iterable[str]) -> str:
@@ -32,10 +24,18 @@ def estimate_name(members: Iterable[str]) -> str:
 
 @dataclass(frozen=True)
 class Observer:
-    """A deterministic tau-free automaton whose states carry estimates."""
+    """A deterministic tau-free automaton whose states stand for estimates.
+
+    A state is flagged secret when its estimate reveals the secret.  The flag
+    is exact on ``determinize`` outputs and on their quotients by opaque
+    bisimulation, which never merges a secret-only estimate with a safe one.
+    Any other quotient flags a block secret when some member is, as
+    ``quotient`` does: on the plain-bisimulation observer ``h_b`` a block may
+    mix a secret-only estimate with a safe one.  ``desired_observer`` is
+    applied to exact observers only.
+    """
 
     automaton: Automaton
-    estimates: Mapping[str, Estimate]
 
     @property
     def initial(self) -> str | None:
@@ -70,7 +70,6 @@ def determinize(a: Automaton, name: str | None = None) -> Observer:
     events = tuple(ev for ev in sorted(a.events, key=lambda ev: ev.name) if ev.observable)
     secret = a.secret_states
 
-    estimates: dict[str, Estimate] = {}
     states: list[State] = []
     transitions: list[Transition] = []
     seen: dict[frozenset[str], str] = {}
@@ -79,9 +78,8 @@ def determinize(a: Automaton, name: str | None = None) -> Observer:
         label = estimate_name(members)
         if members not in seen:
             seen[members] = label
-            secret_only = bool(members) and members <= secret
-            estimates[label] = Estimate(name=label, members=members, secret_only=secret_only)
-            states.append(State(name=label, initial=initial, marked=False, secret=secret_only))
+            revealing = bool(members) and members <= secret
+            states.append(State(name=label, initial=initial, marked=False, secret=revealing))
         return seen[members]
 
     queue: deque[frozenset[str]] = deque()
@@ -108,40 +106,35 @@ def determinize(a: Automaton, name: str | None = None) -> Observer:
         states=tuple(states),
         transitions=tuple(transitions),
     )
-    return Observer(automaton=automaton, estimates=estimates)
+    return Observer(automaton)
 
 
 def desired_observer(o: Observer, name: str | None = None) -> Observer:
-    """Remove secret-only estimates and keep the accessible part.
+    """Remove secret states and keep the accessible part.
 
     The result may be empty (no states) when the initial estimate itself is
     secret-only; callers decide whether that is fatal.
     """
-    keep = {label for label, est in o.estimates.items() if not est.secret_only}
     base = o.automaton
-    trimmed = restrict(base, keep, name=name or f"{base.name}_d").trim_reachable()
-    kept = {st.name for st in trimmed.states}
-    return Observer(
-        automaton=trimmed,
-        estimates={label: est for label, est in o.estimates.items() if label in kept},
-    )
+    keep = {st.name for st in base.states if not st.secret}
+    return Observer(restrict(base, keep, name=name or f"{base.name}_d").trim_reachable())
 
 
 @dataclass(frozen=True)
 class OpacityReport:
     opaque: bool
-    witnesses: tuple[tuple[tuple[str, ...], Estimate], ...]
+    witnesses: tuple[tuple[tuple[str, ...], str], ...]
 
 
 def check_current_state_opacity(a: Automaton) -> OpacityReport:
     """Current-state opacity: no observation may pin the system inside the
     secret set.  Equivalently, the observer has no reachable secret-only
     estimate.  For each violating estimate the report carries one shortest
-    witness observation (ties broken by lexicographic event order).
+    witness observation (ties broken by lexicographic event order) and the
+    name of the observer state it reaches.
     """
     observer = determinize(a)
     base = observer.automaton
-    witnesses: list[tuple[tuple[str, ...], Estimate]] = []
     if observer.initial is None:
         return OpacityReport(opaque=True, witnesses=())
     paths: dict[str, tuple[str, ...]] = {observer.initial: ()}
@@ -154,8 +147,6 @@ def check_current_state_opacity(a: Automaton) -> OpacityReport:
                 paths[dst] = paths[here] + (label,)
                 order.append(dst)
                 queue.append(dst)
-    for label in order:
-        est = observer.estimates[label]
-        if est.secret_only:
-            witnesses.append((paths[label], est))
-    return OpacityReport(opaque=not witnesses, witnesses=tuple(witnesses))
+    secret = base.secret_states
+    witnesses = tuple((paths[label], label) for label in order if label in secret)
+    return OpacityReport(opaque=not witnesses, witnesses=witnesses)

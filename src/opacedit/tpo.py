@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .automata import EPSILON, Automaton, Event, InvalidAutomaton, erasure_symbol, language_upto
 from .estimation import Observer, desired_observer, determinize
@@ -232,69 +232,6 @@ def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
         ),
         initial=None if plain.initial is None else states[plain.initial],
     )
-
-
-@dataclass(frozen=True)
-class Run:
-    """A path through a TPO from its initial state.  ``states`` has one more
-    entry than ``steps``."""
-
-    tpo: Tpo
-    states: tuple[TpoState, ...]
-    steps: tuple[TpoTransition, ...]
-
-    def __post_init__(self) -> None:
-        if not self.states or self.states[0] != self.tpo.initial:
-            raise ValueError("run must start at the initial state")
-        if len(self.states) != len(self.steps) + 1:
-            raise ValueError("run shape mismatch")
-        edges = set(self.tpo.transitions)
-        for i, tr in enumerate(self.steps):
-            if tr.source != self.states[i] or tr.target != self.states[i + 1]:
-                raise ValueError(f"step {i} does not connect its endpoints")
-            if tr not in edges:
-                raise ValueError(f"step {i} is not a transition of the host")
-
-
-def run_string(run: Run) -> tuple[str, ...]:
-    """What the intruder observes along a run: insertions in order, then the
-    genuine event when it is delivered; an erased event contributes nothing."""
-    return tuple(tr.label for tr in run.steps if tr.cls in (ZZ, WY1))
-
-
-def edit_projection(run: Run) -> tuple[str, ...]:
-    """The genuine string the system produced along a run."""
-    return tuple(tr.label for tr in run.steps if tr.cls == YZ)
-
-
-def iter_runs(t: Tpo, max_events: int) -> Iterator[Run]:
-    """Every run with at most ``max_events`` system events, depth first.
-
-    Insertion chains never revisit a Z state between two system events,
-    which keeps the enumeration finite in the presence of insertion cycles
-    while still covering every edge.
-    """
-    if t.initial is None:
-        return
-    outgoing = t.outgoing()
-
-    def walk(
-        state: TpoState, states: tuple[TpoState, ...], steps: tuple[TpoTransition, ...], events: int, chain: frozenset[TpoState]
-    ) -> Iterator[Run]:
-        yield Run(tpo=t, states=states, steps=steps)
-        for tr in outgoing[state]:
-            if tr.cls == YZ:
-                if events == max_events:
-                    continue
-                yield from walk(tr.target, states + (tr.target,), steps + (tr,), events + 1, frozenset({tr.target}))
-            elif tr.cls == ZZ:
-                if tr.target in chain:
-                    continue
-                yield from walk(tr.target, states + (tr.target,), steps + (tr,), events, chain | {tr.target})
-            else:
-                yield from walk(tr.target, states + (tr.target,), steps + (tr,), events, frozenset())
-
-    yield from walk(t.initial, (t.initial,), (), 0, frozenset({t.initial}))
 
 
 def check_complete(t: Tpo, g: Automaton, depth: int) -> bool:

@@ -94,10 +94,6 @@ class DecoratedEvent:
     def controllable(self) -> bool:
         return MOVES[self.kind].controllable
 
-    @property
-    def transition_class(self) -> str:
-        return MOVES[self.kind].cls
-
     def event(self) -> Event:
         return Event(name=self.name, observable=True, controllable=self.controllable)
 

@@ -18,7 +18,6 @@ from opacedit import (
     determinize,
     deterministic_isomorphic,
     language_upto,
-    project,
     quotient,
     random_system,
 )
@@ -259,11 +258,6 @@ def test_quotient_by_bisimulation_preserves_language(composed):
     part = bisimulation_partition(composed)
     q = quotient(composed, part)
     assert language_upto(q, 5) == language_upto(composed, 5)
-
-
-def test_project_keeps_only_requested_events():
-    assert project(("a", "b", "a", "c"), {"a", "c"}) == ("a", "a", "c")
-    assert project((), {"a"}) == ()
 
 
 def test_language_upto_hides_tau(g1):

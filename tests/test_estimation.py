@@ -6,7 +6,6 @@ from opacedit import (
     State,
     TAU,
     check_current_state_opacity,
-    demo_composed,
     desired_observer,
     determinize,
     unobservable_reach,
@@ -26,24 +25,25 @@ def test_unobservable_reach_follows_tau(g1):
 
 def test_g1_observer_estimates(g1):
     obs = determinize(g1)
-    assert sorted(obs.estimates) == ["{q0}", "{q1,q2}", "{q3}"]
+    assert sorted(st.name for st in obs.automaton.states) == ["{q0}", "{q1,q2}", "{q3}"]
     assert obs.initial == "{q0}"
-    assert obs.estimates["{q3}"].secret_only
+    assert "{q3}" in obs.automaton.secret_states
 
 
 def test_composed_observer_estimates(composed):
     obs = determinize(composed)
-    assert sorted(obs.estimates) == sorted([A, B, C, D, E])
+    assert sorted(st.name for st in obs.automaton.states) == sorted([A, B, C, D, E])
     assert obs.initial == A
-    assert obs.estimates[E].secret_only
-    assert not obs.estimates[D].secret_only
+    assert E in obs.automaton.secret_states
+    assert D not in obs.automaton.secret_states
 
 
 def test_desired_observer_removes_secret_only(composed):
     obs = determinize(composed)
     safe = desired_observer(obs)
-    assert E not in safe.estimates
-    assert set(safe.estimates) <= set(obs.estimates)
+    kept = {st.name for st in safe.automaton.states}
+    assert E not in kept
+    assert kept <= {st.name for st in obs.automaton.states}
 
 
 def test_opacity_witnesses(g1, g2, composed):

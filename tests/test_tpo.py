@@ -3,12 +3,9 @@
 from collections import deque
 from dataclasses import replace
 
-import pytest
-
 from opacedit import (
     EPSILON,
     RandomSpec,
-    Run,
     Tpo,
     TpoState,
     TpoTransition,
@@ -19,13 +16,10 @@ from opacedit import (
     demo_composed,
     desired_observer,
     determinize,
-    edit_projection,
     erasure_symbol,
-    iter_runs,
     prune_to_aes,
     random_pair,
     random_system,
-    run_string,
 )
 
 A = "{(q0,s0)}"
@@ -133,26 +127,13 @@ def test_run_string_and_edit_projection(mono_tpo):
         y(B, D),
     ]
     out = mono_tpo.outgoing()
+    assert path[0] == mono_tpo.initial
     steps = []
     for src, dst in zip(path, path[1:]):
         (tr,) = [t for t in out[src] if t.target == dst]
         steps.append(tr)
-    run = Run(tpo=mono_tpo, states=tuple(path), steps=tuple(steps))
-    assert run_string(run) == ("beta",)
-    assert edit_projection(run) == ("gamma", "beta")
-
-
-def test_run_rejects_disconnected_steps(mono_tpo):
-    with pytest.raises(ValueError):
-        Run(tpo=mono_tpo, states=(y(A, C),), steps=())
-
-
-def test_iter_runs_yields_prefix_closed_runs(mono_tpo):
-    runs = list(iter_runs(mono_tpo, max_events=2))
-    assert runs
-    for run in runs:
-        assert run.states[0] == mono_tpo.initial
-        assert len(run.states) == len(run.steps) + 1
+    assert tuple(tr.label for tr in steps if tr.cls in ("zz", "wy1")) == ("beta",)
+    assert tuple(tr.label for tr in steps if tr.cls == "yz") == ("gamma", "beta")
 
 
 def test_constrain_erasures_counts_reset_on_insert(mono_tpo):
