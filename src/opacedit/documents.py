@@ -358,6 +358,8 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
             _fail(f"{path}.supervisor.states[{i}]", f"state {st.name!r} is not a plant state with its flags")
         if st.marked != (tuple(map(getitem, origins, tuple_map[st.name])) == all_y):
             _fail(f"{path}.supervisor.states[{i}]", "expected marked exactly when every component is at Y")
+        if st.initial and not st.marked:
+            _fail(f"{path}.supervisor.states[{i}]", "expected a marked initial state: a session starts at Y")
     plant_edges = set(plant.transitions)
     for i, edge in enumerate(supervisor.transitions):
         if edge not in plant_edges:

@@ -16,6 +16,15 @@ Policies:
   decision, with an insertion budget per step.
 * ``random``: seeded uniform choice among enabled decisions with the same
   insertion budget, falling back to ``lexicographic`` once exhausted.
+
+Sessions of one structure share its runtime tables (``RuntimeTables``, built
+once per structure on first use): the decorations, the sorted edges of each
+supervisor state and the Y states.  Under ``pass-through`` and
+``lexicographic`` a step without overrides depends only on the Y state, the
+event and the insertion budget, so the tables also keep a step cache: the
+first such step is searched and its result stored once it succeeds; every
+later one is answered from the cache.  ``random`` steps, steps with overrides
+and failing steps are always searched and never stored.
 """
 
 from __future__ import annotations
@@ -23,45 +32,27 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .synthesis import ModularEditStructure
 from .transform import (
     DECISION, DELIVER, DELIVERY, ERASE, INSERT, MOVES, STOP, SYSTEM, DecoratedEvent, decoration_table,
 )
+
+if TYPE_CHECKING:
+    from .synthesis import ModularEditStructure
 
 POLICIES = ("pass-through", "lexicographic", "random")
 _DECISIONS = tuple(kind for kind, move in MOVES.items() if move.role == DECISION)
 _DELIVERIES = tuple(kind for kind, move in MOVES.items() if move.role == DELIVERY)
 # The decisions that end the edit of one event: a stop or an erasure.
 _CLOSING = tuple(kind for kind in _DECISIONS if kind != INSERT)
+# The policies whose steps depend only on (state, event, insertion budget).
+_CACHED_POLICIES = ("pass-through", "lexicographic")
 
 
 class StepError(ValueError):
     """Raised when a step cannot be executed: unknown or disabled event, or an
     override the supervisor forbids."""
-
-
-@dataclass
-class Session:
-    policy: str
-    rng: random.Random
-    insertion_budget: int
-    current: str
-    consumed: list[str] = field(default_factory=list)
-    emitted: list[str] = field(default_factory=list)
-    trace: list[str] = field(default_factory=list)
-
-    def outgoing(self, state: str) -> list[tuple[str, DecoratedEvent, str]]:
-        return self._edges.get(state, [])
-
-    def at_y(self) -> bool:
-        """True iff every component is at a Y origin in the current state."""
-        return self.current in self._y_states
-
-    _edges: Mapping[str, list[tuple[str, DecoratedEvent, str]]] = field(default_factory=dict)
-    _decorations: Mapping[str, DecoratedEvent] = field(default_factory=dict)
-    _y_states: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -71,34 +62,83 @@ class StepResult:
     decisions: tuple[str, ...]
 
 
+Edge = tuple[str, DecoratedEvent, str]
+# (policy, insertion budget, Y state, genuine event)
+StepKey = tuple[str, int, str, str]
+
+
+@dataclass(eq=False)
+class RuntimeTables:
+    """What every session of one structure reads, built once per structure
+    (``ModularEditStructure.runtime_tables``): the decoration of each event,
+    each supervisor state's edges sorted by label, the Y states and the
+    default insertion budget.  ``steps`` maps a cacheable step to the labels
+    it appends to the trace and its result; it fills as steps succeed."""
+
+    decorations: Mapping[str, DecoratedEvent]
+    edges: Mapping[str, list[Edge]]
+    y_states: frozenset[str]
+    insertion_budget: int
+    steps: dict[StepKey, tuple[tuple[str, ...], StepResult]] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, m: ModularEditStructure) -> RuntimeTables:
+        supervisor = m.supervisor
+        decorations = decoration_table(m.components)
+        edges: dict[str, list[Edge]] = {}
+        for src, label, dst in supervisor.transitions:
+            edges.setdefault(src, []).append((label, decorations[label], dst))
+        for state in edges:
+            edges[state].sort(key=lambda item: item[0])
+        y_states = supervisor.marked_states
+        z_states = len(supervisor.states) - len(y_states)
+        return cls(decorations, edges, y_states, max(2, 2 * z_states))
+
+
+@dataclass
+class Session:
+    """One run through a structure.  The tables are the structure's own and
+    shared with every other session on it, step cache included."""
+
+    policy: str
+    rng: random.Random
+    insertion_budget: int
+    current: str
+    _tables: RuntimeTables = field(repr=False)
+    consumed: list[str] = field(default_factory=list)
+    emitted: list[str] = field(default_factory=list)
+    trace: list[str] = field(default_factory=list)
+
+    def outgoing(self, state: str) -> list[Edge]:
+        return self._tables.edges.get(state, [])
+
+    def at_y(self) -> bool:
+        """True iff every component is at a Y origin in the current state."""
+        return self.current in self._tables.y_states
+
+    @property
+    def _decorations(self) -> Mapping[str, DecoratedEvent]:
+        return self._tables.decorations
+
+
 def open_session(
     m: ModularEditStructure,
     policy: str = "pass-through",
     seed: int | None = None,
 ) -> Session:
-    """Start a session at the supervisor's initial state."""
+    """Start a session at the supervisor's initial state, on the structure's
+    shared runtime tables."""
     if policy not in POLICIES:
         raise StepError(f"unknown policy {policy!r}; choose one of {', '.join(POLICIES)}")
     if m.is_empty():
         raise StepError("supervisor is empty: no edit function exists under the constraint")
-    supervisor = m.supervisor
-    initial = supervisor.initial_states[0]
-    decorations = decoration_table(m.components)
-    edges: dict[str, list[tuple[str, DecoratedEvent, str]]] = {}
-    for src, label, dst in supervisor.transitions:
-        edges.setdefault(src, []).append((label, decorations[label], dst))
-    for state in edges:
-        edges[state].sort(key=lambda item: item[0])
-    y_states = supervisor.marked_states
-    z_states = len(supervisor.states) - len(y_states)
+    tables = m.runtime_tables
     return Session(
         policy=policy,
         rng=random.Random(seed),
-        insertion_budget=max(2, 2 * z_states),
-        current=initial,
-        _edges=edges,
-        _decorations=decorations,
-        _y_states=y_states,
+        insertion_budget=tables.insertion_budget,
+        current=m.supervisor.initial_states[0],
+        _tables=tables,
     )
 
 
@@ -149,8 +189,20 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
     ``overrides`` forces the leading decisions by their decorated names; once
     exhausted the session policy finishes the step.  Pending deliveries fire
     before any decision.  The session state only changes when the whole step
-    succeeds.
+    succeeds.  A ``pass-through`` or ``lexicographic`` step without overrides
+    is answered from the structure's step cache once it has succeeded before.
     """
+    key = None
+    if not overrides and session.policy in _CACHED_POLICIES:
+        key = (session.policy, session.insertion_budget, session.current, event)
+        hit = session._tables.steps.get(key)
+        if hit is not None:
+            labels, result = hit
+            session.trace.extend(labels)
+            session.current = result.state
+            session.consumed.append(event)
+            session.emitted.extend(result.emitted)
+            return result
     saved_state, saved_depth = session.current, len(session.trace)
     emitted: list[str] = []
     decisions: list[str] = []
@@ -204,7 +256,10 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
         raise
     session.consumed.append(event)
     session.emitted.extend(emitted)
-    return StepResult(emitted=tuple(emitted), state=session.current, decisions=tuple(decisions))
+    result = StepResult(emitted=tuple(emitted), state=session.current, decisions=tuple(decisions))
+    if key is not None:
+        session._tables.steps[key] = (tuple(session.trace[saved_depth:]), result)
+    return result
 
 
 def session_trace(session: Session) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .abstraction import AbstractionBundle, abstract_component
 from .automata import Automaton, InvalidAutomaton, restrict, synchronous_product
 from .constraint import build_constraint_automaton
+from .runtime import RuntimeTables
 from .tpo import explore_largest_tpo
 from .transform import TransformedAutomaton, encode_plain
 
@@ -150,6 +152,12 @@ class ModularEditStructure:
 
     def is_empty(self) -> bool:
         return not self.supervisor.states
+
+    @cached_property
+    def runtime_tables(self) -> RuntimeTables:
+        """The tables and step cache that every runtime session on this
+        structure shares; built on first use."""
+        return RuntimeTables.of(self)
 
 
 def encode_components(

@@ -853,6 +853,15 @@ def _flip_marked(doc):
     return "$.supervisor.states[1]: expected marked exactly when every component is at Y"
 
 
+def _move_initial_to_unmarked(doc):
+    """Start plant and supervisor alike at a state where a decision is pending."""
+    index, name = next((i, st["name"]) for i, st in enumerate(doc["supervisor"]["states"]) if not st["marked"])
+    for key in ("plant", "supervisor"):
+        for state in doc[key]["states"]:
+            state["initial"] = state["name"] == name
+    return f"$.supervisor.states[{index}]: expected a marked initial state"
+
+
 def _flip_secret_in_supervisor_only(doc):
     doc["supervisor"]["states"][1]["secret"] = True
     return "$.supervisor.states[1]: state"
@@ -870,10 +879,11 @@ def _set_boolean_bound(doc):
         _add_second_beta_edge,
         _add_edge_not_in_plant,
         _flip_marked,
+        _move_initial_to_unmarked,
         _flip_secret_in_supervisor_only,
         _set_boolean_bound,
     ],
-    ids=["tau", "nondeterministic", "edge-not-in-plant", "marked", "flags", "bool-bound"],
+    ids=["tau", "nondeterministic", "edge-not-in-plant", "marked", "unmarked-initial", "flags", "bool-bound"],
 )
 def test_cli_step_rejects_invalid_structure_document(tmp_path, edit):
     where = []
