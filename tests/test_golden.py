@@ -1,5 +1,5 @@
-"""The demo commands' outputs and larger structure documents, pinned byte for
-byte by sha256."""
+"""The demo commands' outputs and DOT renderings, and larger structure and TPO
+documents, pinned byte for byte by sha256."""
 
 import hashlib
 from pathlib import Path
@@ -9,6 +9,9 @@ from click.testing import CliRunner
 
 from opacedit import (
     abstract_component,
+    constrain_erasures,
+    largest_tpo,
+    prune_to_aes,
     serialize_automaton,
     serialize_document,
     synthesize_modular_edit_structure,
@@ -40,6 +43,43 @@ def test_demo_stdout_is_pinned(args, exit_code, digest):
     result = CliRunner().invoke(main, args)
     assert result.exit_code == exit_code, result.output
     assert _digest(result.stdout_bytes) == digest
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [("tpo", "df8b8064a9d7ec7f"), ("transform", "25ac37eabcc25467")],
+    ids=["tpo", "transform"],
+)
+def test_demo_document_dot_is_pinned(tmp_path, command, digest):
+    # the reader of each document kind feeds the DOT writer
+    result = CliRunner().invoke(main, [command, G1])
+    assert result.exit_code == 0, result.output
+    path = tmp_path / f"{command}.json"
+    path.write_bytes(result.stdout_bytes)
+    dot = CliRunner().invoke(main, ["export-dot", str(path)])
+    assert dot.exit_code == 0, dot.output
+    assert _digest(dot.stdout_bytes) == digest
+
+
+def test_random_system_tpo_document_is_pinned():
+    t = largest_tpo(random_system(RandomSpec(seed=5)))
+    assert (len(t.states), len(t.transitions)) == (1539, 3568)
+    assert _digest(serialize_document(t).encode("utf-8")) == "17e063c41bd9ddd9"
+
+
+@pytest.mark.parametrize(
+    "k, sizes, digests",
+    [
+        (0, (25, 0), ["6255aa32413a4bc8", "acea41a0353bc2ec"]),
+        (1, (69, 33), ["3dbbe78b8ee23484", "40ffe83ab8cb23ee"]),
+    ],
+    ids=["k0", "k1"],
+)
+def test_counted_and_pruned_demo_tpo_documents_are_pinned(mono_tpo, k, sizes, digests):
+    # the pins hold the order in which each TPO lists its states
+    tpos = (constrain_erasures(mono_tpo, k), prune_to_aes(mono_tpo, k))
+    assert tuple(len(t.states) for t in tpos) == sizes
+    assert [_digest(serialize_document(t).encode("utf-8")) for t in tpos] == digests
 
 
 @pytest.mark.parametrize(

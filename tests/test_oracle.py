@@ -5,27 +5,37 @@ import json
 
 import pytest
 
+import opacedit.oracle as oracle
 from opacedit import (
     Automaton,
     Event,
     RandomSpec,
     State,
     StepError,
+    build_constraint_automaton,
     check_desired_observer_sync,
     check_modular_inclusion,
     check_observer_sync,
     check_private_safety,
     check_supervisor_equals_aes,
     check_tpo_abstraction,
+    demo_composed,
     demo_g1,
     demo_pair,
+    largest_tpo,
     open_session,
+    product_plant,
+    prune_to_aes,
     random_pair,
     random_system,
     run_suite,
     step,
+    supremal_controllable_nonblocking,
     synthesize_modular_edit_structure,
+    transform_monolithic,
 )
+from opacedit.oracle import _aes_canonical, _supervisor_canonical, tpo_bisimilar
+from opacedit.tpo import W, Tpo, TpoTransition
 from opacedit.transform import decoration_table
 
 
@@ -96,6 +106,64 @@ def test_modular_inclusion_on_fixture():
     ok, trace = check_modular_inclusion(list(demo_pair()), depth=10)
     assert ok
     assert trace == ()
+
+
+def _without_transition(t, i):
+    """``t`` with its ``i``-th transition dropped."""
+    return Tpo(
+        name=t.name,
+        events=t.events,
+        states=t.states,
+        transitions=t.transitions[:i] + t.transitions[i + 1 :],
+        initial=t.initial,
+    )
+
+
+def test_tpo_bisimilar_flags_a_dropped_transition():
+    t = largest_tpo(demo_composed())
+    assert tpo_bisimilar(t, t)
+    assert not tpo_bisimilar(t, _without_transition(t, 0))
+    assert not tpo_bisimilar(_without_transition(t, len(t.transitions) - 1), t)
+
+
+def test_tpo_bisimilar_flags_a_changed_kind():
+    # the target keeps its outgoing moves; only its kind differs
+    t = largest_tpo(demo_composed())
+    target = t.transitions[0].target
+    changed = dataclasses.replace(target, kind=W)
+
+    def swap(st):
+        return changed if st == target else st
+
+    other = Tpo(
+        name=t.name,
+        events=t.events,
+        states=tuple(map(swap, t.states)),
+        transitions=tuple(
+            TpoTransition(swap(tr.source), tr.cls, tr.label, swap(tr.target)) for tr in t.transitions
+        ),
+        initial=swap(t.initial),
+    )
+    assert not tpo_bisimilar(t, other)
+
+
+def test_supervisor_canonical_differs_from_an_aes_at_another_bound():
+    t = largest_tpo(demo_composed())
+    encoded = transform_monolithic(t)
+    plant = product_plant([encoded], build_constraint_automaton(1, [encoded]))
+    supervisor = _supervisor_canonical(supremal_controllable_nonblocking(plant.automaton), encoded.decorations)
+    assert supervisor == _aes_canonical(prune_to_aes(t, 1))
+    other = prune_to_aes(t, 2)
+    assert other.states
+    assert supervisor != _aes_canonical(other)
+
+
+def test_modular_inclusion_flags_a_missing_monolithic_transition(monkeypatch):
+    original = oracle.largest_tpo
+    monkeypatch.setattr(oracle, "largest_tpo", lambda g, name="tpo": _without_transition(original(g, name), 0))
+    ok, trace = check_modular_inclusion(list(demo_pair()), depth=10)
+    assert not ok
+    assert trace
 
 
 def test_private_safety_on_fixture():

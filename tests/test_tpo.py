@@ -99,6 +99,20 @@ def test_largest_tpo_is_complete(mono_tpo, composed):
     assert check_complete(mono_tpo, composed, depth=6)
 
 
+def test_largest_tpo_is_complete_on_random_systems():
+    # over the exact observers and over the abstracted ones
+    non_empty = 0
+    for seed in range(20):
+        g = random_system(RandomSpec(seed=seed))
+        for obsd, obs in _observer_pairs(g):
+            t = build_largest_tpo(obsd, obs)
+            if t.initial is None:
+                continue
+            assert check_complete(t, g, depth=5), f"seed {seed}"
+            non_empty += 1
+    assert non_empty >= 16
+
+
 def test_empty_desired_observer_gives_empty_tpo():
     from opacedit import Automaton, Event, State
 
