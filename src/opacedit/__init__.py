@@ -70,8 +70,6 @@ from .synthesis import (
 )
 from .tpo import (
     Tpo,
-    TpoState,
-    TpoTransition,
     build_largest_tpo,
     check_complete,
     constrain_erasures,
@@ -112,8 +110,6 @@ __all__ = [
     "StepResult",
     "TAU",
     "Tpo",
-    "TpoState",
-    "TpoTransition",
     "TransformedAutomaton",
     "abstract_component",
     "bisimulation_partition",

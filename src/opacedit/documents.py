@@ -27,7 +27,7 @@ from typing import Any
 
 from .automata import EPSILON, TAU, Automaton, Event, InvalidAutomaton, State, erasure_symbol
 from .synthesis import ModularEditStructure
-from .tpo import ENDPOINTS, KINDS, W, Y, YZ, Z, ZW1, ZW2, ZZ, Tpo, TpoState, TpoTransition, state_names
+from .tpo import ENDPOINTS, KINDS, W, Y, YZ, Z, ZW1, ZW2, ZZ, Tpo, render_names
 from .transform import TransformedAutomaton, decoration_table, parse_decorated
 
 KIND_TPO = "tpo"
@@ -189,40 +189,49 @@ def parse_automaton(text: str) -> Automaton:
     return automaton_from_dict(doc)
 
 
-def _tpo_state_from_dict(entry: Any, here: str) -> TpoState:
+def _tpo_state_from_dict(entry: Any, here: str) -> tuple:
+    """The fields of one TPO state, in the order ``Tpo`` holds them.  A state
+    carries only the fields of its kind: a Z state its event, a W state its
+    action and erased flag."""
     entry = _expect_object(entry, here)
     count = entry.get("count")
     if count is not None and type(count) is not int:  # bool is an int subclass
         _fail(f"{here}.count", f"expected an integer, got {count!r}")
+    if count is not None and count < 0:
+        _fail(f"{here}.count", f"expected a nonnegative integer, got {count!r}")
     kind = entry.get("kind")
     if kind not in KINDS:
         _fail(f"{here}.kind", f"expected one of {', '.join(KINDS)}, got {kind!r}")
-    state = TpoState(
-        kind=kind,
-        x_d=_expect_string(entry.get("x_d"), f"{here}.x_d"),
-        x_f=_expect_string(entry.get("x_f"), f"{here}.x_f"),
-        event=_optional_string(entry.get("event"), f"{here}.event"),
-        action=_optional_string(entry.get("action"), f"{here}.action"),
-        erased=_expect_bool(entry.get("erased"), f"{here}.erased", False),
-        count=count,
-    )
-    if kind == Z and state.event is None:
+    x_d = _expect_string(entry.get("x_d"), f"{here}.x_d")
+    x_f = _expect_string(entry.get("x_f"), f"{here}.x_f")
+    event = _optional_string(entry.get("event"), f"{here}.event")
+    action = _optional_string(entry.get("action"), f"{here}.action")
+    erased = _expect_bool(entry.get("erased"), f"{here}.erased", False)
+    if kind == Z and event is None:
         _fail(here, "a Z state needs an event")
-    if kind == W and state.action is None:
+    if kind == W and action is None:
         _fail(here, "a W state needs an action")
-    return state
+    if kind != Z and event is not None:
+        _fail(f"{here}.event", f"a {kind} state carries no event")
+    if kind != W and action is not None:
+        _fail(f"{here}.action", f"a {kind} state carries no action")
+    if kind != W and erased:
+        _fail(f"{here}.erased", f"a {kind} state is never erased")
+    return (kind, x_d, x_f, event, action, erased, count)
 
 
-def _label_problem(cls: str, label: str, source: TpoState, target: TpoState, observable: set[str]) -> str | None:
+def _label_problem(cls: str, label: str, source: tuple, target: tuple, observable: set[str]) -> str | None:
     """Why ``label`` cannot label a ``cls`` transition from ``source`` to
     ``target`` whose kinds fit the class, or None if it can."""
+    _, _, _, pending, action, _, _ = source
+    arriving = target[3]
     if cls == ZZ:
         if label not in observable:
             return f"an insertion needs an observable event, got {label!r}"
-        if target.event != source.event:
-            return f"an insertion keeps the pending event {source.event!r}, got {target.event!r}"
+        if arriving != pending:
+            return f"an insertion keeps the pending event {pending!r}, got {arriving!r}"
         return None
-    expected = {YZ: target.event, ZW1: EPSILON, ZW2: erasure_symbol(source.event)}.get(cls, source.action)
+    expected = {YZ: arriving, ZW1: EPSILON, ZW2: erasure_symbol(pending)}.get(cls, action)
     if label != expected:
         return f"class {cls!r} needs label {expected!r}, got {label!r}"
     return None
@@ -230,7 +239,7 @@ def _label_problem(cls: str, label: str, source: TpoState, target: TpoState, obs
 
 def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
     """States are listed by their fields; transitions and ``initial`` cite a
-    state by the name ``state_names`` renders for it.  A Z state needs its
+    state by the name ``render_names`` renders for it.  A Z state needs its
     event, a W state its action, and a transition's class must fit the kind
     and erased flag of each endpoint.  A label must be what its class says:
     the arriving event, an observable insertion that keeps the pending event,
@@ -244,10 +253,9 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
         for i, entry in enumerate(_expect_list(doc.get("states", []), f"{path}.states"))
     ]
     try:
-        names = state_names(states)
+        position = {rendered: pos for pos, rendered in enumerate(render_names(states))}
     except InvalidAutomaton as err:
         raise DocumentError(f"{path}.states: {err}") from err
-    by_name = {rendered: st for st, rendered in names.items()}
     observable = {ev.name for ev in events if ev.observable}
     transitions = []
     for i, entry in enumerate(_expect_list(doc.get("transitions", []), f"{path}.transitions")):
@@ -261,31 +269,25 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
         ):
             entry = _string_row(entry, f"{path}.transitions[{i}]", ("source", "class", "label", "target"))
         src, cls, label, dst = entry
-        if src not in by_name:
+        if src not in position:
             _fail(f"{path}.transitions[{i}][0]", f"unknown state {src!r}")
-        if dst not in by_name:
+        if dst not in position:
             _fail(f"{path}.transitions[{i}][3]", f"unknown state {dst!r}")
-        source, target = by_name[src], by_name[dst]
+        source, target = states[position[src]], states[position[dst]]
         if cls not in ENDPOINTS:
             _fail(f"{path}.transitions[{i}][1]", f"expected one of {', '.join(ENDPOINTS)}, got {cls!r}")
-        if ENDPOINTS[cls] != ((source.kind, source.erased), (target.kind, target.erased)):
+        if ENDPOINTS[cls] != ((source[0], source[5]), (target[0], target[5])):
             _fail(f"{path}.transitions[{i}][1]", f"class {cls!r} does not fit {src!r} -> {dst!r}")
         problem = _label_problem(cls, label, source, target, observable)
         if problem is not None:
             _fail(f"{path}.transitions[{i}][2]", problem)
-        transitions.append(TpoTransition(source, cls, label, target))
+        transitions.append((position[src], cls, label, position[dst]))
     initial = _optional_string(doc.get("initial"), f"{path}.initial")
-    if initial is not None and initial not in by_name:
+    if initial is not None and initial not in position:
         _fail(f"{path}.initial", f"unknown state {initial!r}")
-    if initial is not None and by_name[initial].kind != Y:
+    if initial is not None and states[position[initial]][0] != Y:
         _fail(f"{path}.initial", f"the initial state {initial!r} is not a Y state")
-    return Tpo(
-        name=name,
-        events=events,
-        states=tuple(states),
-        transitions=tuple(transitions),
-        initial=None if initial is None else by_name[initial],
-    )
+    return Tpo(name, events, states, transitions, None if initial is None else position[initial])
 
 
 def transformed_from_dict(doc: Any, path: str = "$") -> TransformedAutomaton:
@@ -459,43 +461,44 @@ def _write_automaton(out: list[str], a: Automaton, pad: str) -> None:
     out.append(f"\n{pad}}}")
 
 
-def _tpo_state_row(st: TpoState, item: str, field: str) -> str:
+def _tpo_state_row(fields: tuple, item: str, field: str) -> str:
     """A state lists its fields in order, leaving out the unset ones."""
+    kind, x_d, x_f, event, action, erased, count = fields
     row = (
-        f',\n{item}{{\n{field}"kind": {encode_basestring(st.kind)},'
-        f'\n{field}"x_d": {encode_basestring(st.x_d)},'
-        f'\n{field}"x_f": {encode_basestring(st.x_f)}'
+        f',\n{item}{{\n{field}"kind": {encode_basestring(kind)},'
+        f'\n{field}"x_d": {encode_basestring(x_d)},'
+        f'\n{field}"x_f": {encode_basestring(x_f)}'
     )
-    if st.event is not None:
-        row += f',\n{field}"event": {encode_basestring(st.event)}'
-    if st.action is not None:
-        row += f',\n{field}"action": {encode_basestring(st.action)}'
-    if st.erased:
+    if event is not None:
+        row += f',\n{field}"event": {encode_basestring(event)}'
+    if action is not None:
+        row += f',\n{field}"action": {encode_basestring(action)}'
+    if erased:
         row += f',\n{field}"erased": true'
-    if st.count is not None:
-        row += f',\n{field}"count": {st.count}'
+    if count is not None:
+        row += f',\n{field}"count": {count}'
     return f"{row}\n{item}}}"
 
 
 def _write_tpo(out: list[str], t: Tpo) -> None:
-    names = state_names(t.states)
+    names = [encode_basestring(name) for name in render_names(t.states)]
     out.append(f'{{\n  "kind": "{KIND_TPO}",\n  "name": {encode_basestring(t.name)},\n  "events": ')
     _write_events(out, t.events, "  ")
     out.append(',\n  "states": [')
     first = len(out)
-    out += [_tpo_state_row(st, "    ", "      ") for st in t.states]
+    out += [_tpo_state_row(fields, "    ", "      ") for fields in t.states]
     _close(out, first, "  ", "]")
     out.append(',\n  "transitions": [')
     first = len(out)
     out += [
-        f",\n    [\n      {encode_basestring(names[tr.source])},"
-        f"\n      {encode_basestring(tr.cls)},"
-        f"\n      {encode_basestring(tr.label)},"
-        f"\n      {encode_basestring(names[tr.target])}\n    ]"
-        for tr in t.transitions
+        f",\n    [\n      {names[src]},"
+        f"\n      {encode_basestring(cls)},"
+        f"\n      {encode_basestring(label)},"
+        f"\n      {names[dst]}\n    ]"
+        for src, cls, label, dst in t.transitions
     ]
     _close(out, first, "  ", "]")
-    initial = "null" if t.initial is None else encode_basestring(names[t.initial])
+    initial = "null" if t.initial is None else names[t.initial]
     out.append(f',\n  "initial": {initial}\n}}')
 
 

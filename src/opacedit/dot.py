@@ -12,7 +12,7 @@ from typing import Mapping
 
 from .automata import Automaton
 from .synthesis import ModularEditStructure
-from .tpo import Tpo, W, Y, Z, state_names
+from .tpo import Tpo, W, Y, Z, render_names
 from .transform import TransformedAutomaton
 
 _SHAPES = {Y: "box", Z: "ellipse", W: "diamond"}
@@ -73,16 +73,13 @@ def export_dot(x: Automaton | Tpo | TransformedAutomaton | ModularEditStructure)
     if isinstance(x, Automaton):
         return _wrap(x.name, _automaton_body(x))
     if isinstance(x, Tpo):
-        names = state_names(x.states)
-        lines = []
-        for st in x.states:
-            lines.append(_node_line(names[st], shape=_SHAPES[st.kind]))
+        names = render_names(x.states)
+        lines = [_node_line(name, shape=_SHAPES[fields[0]]) for fields, name in zip(x.states, names)]
         if x.initial is not None:
             lines.append('  "__start0" [shape=point, style=invis];')
             lines.append(f'  "__start0" -> {_quote(names[x.initial])};')
-        for tr in x.transitions:
-            source, target = names[tr.source], names[tr.target]
-            lines.append(f"  {_quote(source)} -> {_quote(target)} [label={_quote(tr.label)}];")
+        for src, _, label, dst in x.transitions:
+            lines.append(f"  {_quote(names[src])} -> {_quote(names[dst])} [label={_quote(label)}];")
         return _wrap(x.name, lines)
     if isinstance(x, TransformedAutomaton):
         shapes = {name: _SHAPES[kind] for name, kind in x.origins.items()}

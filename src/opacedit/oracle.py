@@ -37,7 +37,7 @@ from .synthesis import (
     supremal_controllable_nonblocking,
     synthesize_modular_edit_structure,
 )
-from .tpo import Tpo, TpoState, build_largest_tpo, largest_tpo, prune_to_aes
+from .tpo import Tpo, build_largest_tpo, largest_tpo, prune_to_aes
 from .transform import (
     DELIVER,
     DELIVER_ERASED,
@@ -83,22 +83,22 @@ def _random_automaton(
     name: str,
 ) -> Automaton:
     n = rng.randint(1, spec.max_states)
-    state_names = [f"q{i}" for i in range(n)]
+    qnames = [f"q{i}" for i in range(n)]
     transitions: list[Transition] = []
-    for src in state_names:
+    for src in qnames:
         for event in alphabet:
             if rng.random() < spec.transition_density:
-                transitions.append((src, event, rng.choice(state_names)))
+                transitions.append((src, event, rng.choice(qnames)))
                 if rng.random() < 0.15:
-                    transitions.append((src, event, rng.choice(state_names)))
+                    transitions.append((src, event, rng.choice(qnames)))
         if rng.random() < spec.tau_density:
-            transitions.append((src, "tau", rng.choice(state_names)))
-    secret_flags = [rng.random() < spec.secret_density for _ in state_names]
+            transitions.append((src, "tau", rng.choice(qnames)))
+    secret_flags = [rng.random() < spec.secret_density for _ in qnames]
     if all(secret_flags) and spec.secret_density < 1.0:
         secret_flags[0] = False
     states = tuple(
         State(name=nm, initial=(i == 0), marked=False, secret=secret_flags[i])
-        for i, nm in enumerate(state_names)
+        for i, nm in enumerate(qnames)
     )
     events = tuple(Event(name=e, observable=True, controllable=True) for e in alphabet)
     return Automaton(
@@ -151,10 +151,11 @@ def check_desired_observer_sync(a: Automaton, b: Automaton) -> bool:
     return deterministic_isomorphic(left, right)
 
 
-def _tpo_edge_table(t: Tpo) -> dict[TpoState, dict[tuple[str, str], TpoState]]:
-    table: dict[TpoState, dict[tuple[str, str], TpoState]] = {st: {} for st in t.states}
-    for tr in t.transitions:
-        table[tr.source][(tr.cls, tr.label)] = tr.target
+def _tpo_edge_table(t: Tpo) -> list[dict[tuple[str, str], int]]:
+    """The target of each (class, label) move out of each position of ``t``."""
+    table: list[dict[tuple[str, str], int]] = [{} for _ in t.states]
+    for src, cls, label, dst in t.transitions:
+        table[src][(cls, label)] = dst
     return table
 
 
@@ -174,7 +175,7 @@ def tpo_bisimilar(a: Tpo, b: Tpo) -> bool:
     queue = deque([start])
     while queue:
         x, y = queue.popleft()
-        if x.kind != y.kind:
+        if a.states[x][0] != b.states[y][0]:
             return False
         out_a, out_b = edges_a[x], edges_b[y]
         if set(out_a) != set(out_b):
@@ -211,11 +212,10 @@ def _aes_canonical(aes: Tpo) -> tuple:
     # TPO transition labels already coincide with the renamed run labels of
     # the decorated events (stop carries the empty symbol, erasures their
     # erasure symbol), so (class, label) needs no translation.
-    edges: dict[TpoState, list[tuple[tuple[str, str], TpoState]]] = {st: [] for st in aes.states}
-    for tr in aes.transitions:
-        edges[tr.source].append(((tr.cls, tr.label), tr.target))
-    flags = {st: () for st in aes.states}
-    return canonical_table(aes.initial, edges, flags)
+    edges: dict[int, list[tuple[tuple[str, str], int]]] = {}
+    for src, cls, label, dst in aes.transitions:
+        edges.setdefault(src, []).append(((cls, label), dst))
+    return canonical_table(aes.initial, edges, {})
 
 
 def check_supervisor_equals_aes(g: Automaton, max_erasures: int) -> bool:
@@ -247,23 +247,20 @@ def check_modular_inclusion(
         return True, ()
     product = compose_all([comp.automaton for comp in components])
     mono = largest_tpo(compose_all(systems))
-    mono_edges: dict[tuple[TpoState, tuple[str, str]], TpoState] = {}
-    for tr in mono.transitions:
-        mono_edges[(tr.source, (tr.cls, tr.label))] = tr.target
+    mono_edges = _tpo_edge_table(mono)
 
     decorations = decoration_table(components)
     if not product.states or mono.initial is None:
         return True, ()
     start = (product.initial_states[0], mono.initial)
     seen = {start}
-    queue: deque[tuple[tuple[str, TpoState], tuple[str, ...], int]] = deque([(start, (), 0)])
+    queue: deque[tuple[tuple[str, int], tuple[str, ...], int]] = deque([(start, (), 0)])
     while queue:
         (p_state, t_state), trace, used = queue.popleft()
         if used == depth:
             continue
         for label, dst in product.outgoing(p_state):
-            key = (t_state, run_label(decorations[label]))
-            target = mono_edges.get(key)
+            target = mono_edges[t_state].get(run_label(decorations[label]))
             if target is None:
                 return False, trace + (label,)
             pair = (dst, target)

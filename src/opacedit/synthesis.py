@@ -21,8 +21,8 @@ from .abstraction import AbstractionBundle, abstract_component
 from .automata import Automaton, InvalidAutomaton, restrict, synchronous_product
 from .constraint import build_constraint_automaton
 from .runtime import RuntimeTables
-from .tpo import explore_largest_tpo
-from .transform import TransformedAutomaton, encode_plain
+from .tpo import build_largest_tpo
+from .transform import TransformedAutomaton, transform_modular
 
 
 def _tuple_name(parts: Sequence[str]) -> str:
@@ -163,12 +163,12 @@ class ModularEditStructure:
 def encode_components(
     systems: Sequence[Automaton],
 ) -> tuple[tuple[AbstractionBundle, ...], tuple[TransformedAutomaton, ...]]:
-    """Abstract each component, explore the largest TPO of its observers and
+    """Abstract each component, build the largest TPO of its observers and
     encode it for modular composition; component ``g`` is encoded as
-    ``g.name^T``.  The TPOs stay plain data and are never built as graphs."""
+    ``g.name^T``."""
     bundles = tuple(abstract_component(g) for g in systems)
-    components = encode_plain(
-        [explore_largest_tpo(bundle.h_obd, bundle.h_b) for bundle in bundles],
+    components = transform_modular(
+        [build_largest_tpo(bundle.h_obd, bundle.h_b) for bundle in bundles],
         [bundle.abstracted.events for bundle in bundles],
         names=[f"{g.name}^T" for g in systems],
     )
@@ -180,7 +180,7 @@ def synthesize_modular_edit_structure(
     max_erasures: int,
     log: Callable[[str], None] | None = None,
 ) -> ModularEditStructure:
-    """Full pipeline: abstract each component, explore and encode its TPO, compose
+    """Full pipeline: abstract each component, build and encode its TPO, compose
     with the erasure constraint and synthesize the supervisor.
 
     An empty supervisor (or an empty desired observer for some component)

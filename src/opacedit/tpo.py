@@ -18,19 +18,17 @@ decision, W states with no delivery, and Y states one of whose system events
 leads into a removed Z state.  Y states with no outgoing transition are legal:
 the system may simply have nothing left to say.
 
-``explore_largest_tpo`` holds the game rules, over plain data: a state is the
-tuple of its fields, a transition ``(source position, class, label, target
-position)``; synthesis encodes that data directly.  ``build_largest_tpo``
-wraps it into a graph, where a state is its ``TpoState`` value: transitions,
-the initial state and every table in this module hold the values themselves.
-Names are rendered from a state's fields only at the boundary, by
-``state_name``, for documents, DOT and the encoding.
+A TPO is plain data, one form for synthesis, documents, DOT and the checks:
+a state is the tuple of its fields and a transition ``(source position,
+class, label, target position)``.  ``build_largest_tpo`` holds the game
+rules; pruning and the checks work on positions.  Names are rendered from a
+state's fields only at the boundary, by ``render_names``, for documents, DOT
+and the encoding.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 from .automata import EPSILON, Automaton, Event, InvalidAutomaton, erasure_symbol, language_upto
@@ -50,21 +48,6 @@ ENDPOINTS = {
 }
 
 
-@dataclass(frozen=True)
-class TpoState:
-    kind: str
-    x_d: str
-    x_f: str
-    event: str | None = None
-    action: str | None = None
-    erased: bool = False
-    count: int | None = None
-
-    @property
-    def name(self) -> str:
-        return state_name(self.kind, self.x_d, self.x_f, self.event, self.action, self.erased, self.count)
-
-
 def state_name(
     kind: str,
     x_d: str,
@@ -74,7 +57,8 @@ def state_name(
     erased: bool = False,
     count: int | None = None,
 ) -> str:
-    """The name of the state with these fields (those of ``TpoState``)."""
+    """The name of the state with these fields, in the order ``Tpo`` holds
+    them."""
     # The committed delivery (W, not erased) carries a "!" so its name
     # cannot collide with the Z state holding the same pending event.
     core = f"({x_d},{x_f})"
@@ -107,50 +91,15 @@ def render_names(states: Iterable[tuple]) -> list[str]:
     return names
 
 
-def state_fields(st: TpoState) -> tuple:
-    """The fields of ``st``, as the plain form holds a state."""
-    return (st.kind, st.x_d, st.x_f, st.event, st.action, st.erased, st.count)
-
-
-def state_names(states: Iterable[TpoState]) -> dict[TpoState, str]:
-    """The rendered name of each state, as ``render_names`` gives it."""
-    states = tuple(states)
-    return dict(zip(states, render_names(map(state_fields, states))))
-
-
-@dataclass(frozen=True)
-class TpoTransition:
-    source: TpoState
-    cls: str
-    label: str
-    target: TpoState
-
-
-@dataclass(frozen=True)
-class Tpo:
-    """An explicit TPO graph.  ``events`` is the observable alphabet it plays
-    over.  Each state is identified by its ``TpoState`` value, which the
-    transitions and ``initial`` hold directly; ``state_names`` renders names
-    for the boundary."""
+class Tpo(NamedTuple):
+    """A TPO as plain data.  Each state is the tuple of its fields ``(kind,
+    x_d, x_f, event, action, erased, count)``; a Z state carries its pending
+    ``event``, a W state its ``action`` and whether it was ``erased``, and a
+    counted state its run of consecutive erasures.  A transition is ``(source
+    position, class, label, target position)`` and ``initial`` is a position.
+    ``events`` is the observable alphabet the TPO plays over."""
 
     name: str
-    events: tuple[Event, ...]
-    states: tuple[TpoState, ...]
-    transitions: tuple[TpoTransition, ...]
-    initial: TpoState | None
-
-    def outgoing(self) -> dict[TpoState, list[TpoTransition]]:
-        table: dict[TpoState, list[TpoTransition]] = {st: [] for st in self.states}
-        for tr in self.transitions:
-            table[tr.source].append(tr)
-        return table
-
-
-class PlainTpo(NamedTuple):
-    """A TPO as plain data: each state as the tuple of its ``TpoState``
-    fields, each transition as ``(source position, class, label, target
-    position)`` and the initial state by its position."""
-
     events: tuple[Event, ...]
     states: Sequence[tuple]
     transitions: Sequence[tuple[int, str, str, int]]
@@ -164,9 +113,9 @@ def largest_tpo(g: Automaton, name: str = "tpo") -> Tpo:
     return build_largest_tpo(desired_observer(observer), observer, name=name)
 
 
-def explore_largest_tpo(obsd: Observer, obs: Observer) -> PlainTpo:
-    """The largest TPO over a desired observer and a full observer, as plain
-    data: states in discovery order, the initial state first.
+def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
+    """The largest TPO over a desired observer and a full observer: states in
+    discovery order, the initial state first.
 
     Every transition admissible under the game rules is present.  When the
     desired observer is empty even the empty output betrays the secret, so no
@@ -174,7 +123,7 @@ def explore_largest_tpo(obsd: Observer, obs: Observer) -> PlainTpo:
     """
     det_f = obs.automaton
     if obs.initial is None or obsd.initial is None:
-        return PlainTpo(det_f.events, [], [], None)
+        return Tpo(name, det_f.events, [], [], None)
     # Each observer's (x, event) -> x'; the first target wins, as in ``successors``.
     d_next = {(src, label): dst for src, label, dst in reversed(obsd.automaton.transitions)}
     f_next = {(src, label): dst for src, label, dst in reversed(det_f.transitions)}
@@ -215,23 +164,15 @@ def explore_largest_tpo(obsd: Observer, obs: Observer) -> PlainTpo:
                 transitions.append((here, WY2, action, admit((Y, x_d, nxt_f, None, None, False, None))))
             elif (nxt_d := d_next.get((x_d, action))) is not None:
                 transitions.append((here, WY1, action, admit((Y, nxt_d, nxt_f, None, None, False, None))))
-    return PlainTpo(det_f.events, states, transitions, 0)
+    return Tpo(name, det_f.events, states, transitions, 0)
 
 
-def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
-    """The largest TPO of ``explore_largest_tpo`` as a graph of ``TpoState``
-    values, with the same states, transitions and order."""
-    plain = explore_largest_tpo(obsd, obs)
-    states = tuple(TpoState(*fields) for fields in plain.states)
-    return Tpo(
-        name=name,
-        events=plain.events,
-        states=states,
-        transitions=tuple(
-            TpoTransition(states[src], cls, label, states[dst]) for src, cls, label, dst in plain.transitions
-        ),
-        initial=None if plain.initial is None else states[plain.initial],
-    )
+def _successors(t: Tpo) -> list[list[tuple[str, str, int]]]:
+    """The ``(class, label, target)`` moves out of each position of ``t``."""
+    table: list[list[tuple[str, str, int]]] = [[] for _ in t.states]
+    for src, cls, label, dst in t.transitions:
+        table[src].append((cls, label, dst))
+    return table
 
 
 def check_complete(t: Tpo, g: Automaton, depth: int) -> bool:
@@ -242,44 +183,42 @@ def check_complete(t: Tpo, g: Automaton, depth: int) -> bool:
     sets of ``g`` and the Y-to-Y segment relation of ``t``, not by enumerating
     runs.
     """
-    outgoing = t.outgoing()
-    for st in t.states:
-        if st.kind in (Z, W) and not outgoing[st]:
-            return False
+    moves = _successors(t)
+    if any(fields[0] != Y and not moves[pos] for pos, fields in enumerate(t.states)):
+        return False
     if t.initial is None:
         return not language_upto(g, depth) - {()}
 
     # Y-level step relation: y -e-> y' iff some decision chain completes e.
-    segment: dict[tuple[TpoState, str], set[TpoState]] = {}
-    for st in t.states:
-        if st.kind != Y:
+    segment: dict[tuple[int, str], set[int]] = {}
+    for pos, fields in enumerate(t.states):
+        if fields[0] != Y:
             continue
-        for tr in outgoing[st]:
+        for _, label, z in moves[pos]:
             seen_z = set()
-            frontier = [tr.target]
-            targets: set[TpoState] = set()
+            frontier = [z]
+            targets: set[int] = set()
             while frontier:
                 here = frontier.pop()
                 if here in seen_z:
                     continue
                 seen_z.add(here)
-                for step in outgoing[here]:
-                    if step.cls == ZZ:
-                        frontier.append(step.target)
-                    elif step.cls in (ZW1, ZW2):
-                        for deliver in outgoing[step.target]:
-                            targets.add(deliver.target)
-            segment[(st, tr.label)] = targets
+                for cls, _, nxt in moves[here]:
+                    if cls == ZZ:
+                        frontier.append(nxt)
+                    elif cls in (ZW1, ZW2):
+                        targets.update(dst for _, _, dst in moves[nxt])
+            segment[(pos, label)] = targets
 
     silent_language = language_upto(g, depth)
-    by_prefix: dict[tuple[str, ...], set[TpoState]] = {(): {t.initial}}
+    by_prefix: dict[tuple[str, ...], set[int]] = {(): {t.initial}}
     queue = deque([()])
     while queue:
         prefix = queue.popleft()
         ys = by_prefix[prefix]
         extensions = {s[len(prefix)] for s in silent_language if len(s) > len(prefix) and s[: len(prefix)] == prefix}
         for event in extensions:
-            nxt: set[TpoState] = set().union(*(segment.get((y, event), ()) for y in ys))
+            nxt: set[int] = set().union(*(segment.get((y, event), ()) for y in ys))
             if not nxt:
                 return False
             extended = prefix + (event,)
@@ -296,44 +235,40 @@ def constrain_erasures(t: Tpo, max_erasures: int) -> Tpo:
     Insertion resets the count; a stop decision leaves it unchanged (passing a
     genuine event through does not license further erasures).  Erasing at
     count ``max_erasures`` is not admissible, so no state with count
-    ``max_erasures + 1`` is ever created.
+    ``max_erasures + 1`` is ever created.  States are listed breadth first
+    from the initial one.
     """
+    name = f"{t.name}|k={max_erasures}"
     if t.initial is None:
-        return Tpo(name=f"{t.name}|k={max_erasures}", events=t.events, states=(), transitions=(), initial=None)
-    outgoing = t.outgoing()
-    states: dict[TpoState, TpoState] = {}
-    transitions: list[TpoTransition] = []
-    queue: deque[TpoState] = deque()
+        return Tpo(name, t.events, [], [], None)
+    moves = _successors(t)
+    # Each annotated state as (position in ``t``, count); the list doubles
+    # as the queue.
+    index: dict[tuple[int, int], int] = {}
+    annotated: list[tuple[int, int]] = []
+    transitions: list[tuple[int, str, str, int]] = []
 
-    def admit(base: TpoState, count: int) -> TpoState:
-        annotated = replace(base, count=count)
-        known = states.get(annotated)
-        if known is None:
-            states[annotated] = known = annotated
-            queue.append(annotated)
-        return known
+    def admit(key: tuple[int, int]) -> int:
+        pos = index.get(key)
+        if pos is None:
+            index[key] = pos = len(annotated)
+            annotated.append(key)
+        return pos
 
-    start = admit(t.initial, 0)
-    while queue:
-        here = queue.popleft()
-        for tr in outgoing[replace(here, count=None)]:
-            if tr.cls == ZZ:
-                count = 0
-            elif tr.cls == ZW2:
-                if here.count >= max_erasures:
+    admit((t.initial, 0))
+    for here, (base, count) in enumerate(annotated):
+        for cls, label, dst in moves[base]:
+            if cls == ZZ:
+                nxt = 0
+            elif cls == ZW2:
+                if count >= max_erasures:
                     continue
-                count = here.count + 1
+                nxt = count + 1
             else:
-                count = here.count
-            nxt = admit(tr.target, count)
-            transitions.append(TpoTransition(here, tr.cls, tr.label, nxt))
-    return Tpo(
-        name=f"{t.name}|k={max_erasures}",
-        events=t.events,
-        states=tuple(states),
-        transitions=tuple(transitions),
-        initial=start,
-    )
+                nxt = count
+            transitions.append((here, cls, label, admit((dst, nxt))))
+    states = [t.states[base][:6] + (count,) for base, count in annotated]
+    return Tpo(name, t.events, states, transitions, 0)
 
 
 def prune_to_aes(t: Tpo, max_erasures: int) -> Tpo:
@@ -342,55 +277,57 @@ def prune_to_aes(t: Tpo, max_erasures: int) -> Tpo:
     Starting from the count-annotated TPO, repeatedly remove Z and W states
     from which no Y state is reachable (deadlocked ones included, but also
     decision cycles that never hand control back) and Y states with a system
-    event into a removed Z state, then keep the reachable part.  An empty
-    result means opacity cannot be enforced under the bound.
+    event into a removed Z state, then keep the reachable part, in the
+    annotated TPO's order.  An empty result means opacity cannot be enforced
+    under the bound.
     """
     annotated = constrain_erasures(t, max_erasures)
-    alive = set(annotated.states)
+    name = f"{t.name}|aes"
+    is_y = [fields[0] == Y for fields in annotated.states]
+    alive = set(range(len(annotated.states)))
     while True:
-        outgoing: dict[TpoState, list[TpoTransition]] = {st: [] for st in alive}
-        incoming: dict[TpoState, list[TpoState]] = {st: [] for st in alive}
-        for tr in annotated.transitions:
-            if tr.source in alive and tr.target in alive:
-                outgoing[tr.source].append(tr)
-                incoming[tr.target].append(tr.source)
-        coaccessible = {st for st in alive if st.kind == Y}
+        outgoing: dict[int, list[tuple[str, int]]] = {pos: [] for pos in alive}
+        incoming: dict[int, list[int]] = {pos: [] for pos in alive}
+        for src, cls, _, dst in annotated.transitions:
+            if src in alive and dst in alive:
+                outgoing[src].append((cls, dst))
+                incoming[dst].append(src)
+        coaccessible = {pos for pos in alive if is_y[pos]}
         frontier = deque(coaccessible)
         while frontier:
-            here = frontier.popleft()
-            for src in incoming[here]:
+            for src in incoming[frontier.popleft()]:
                 if src not in coaccessible:
                     coaccessible.add(src)
                     frontier.append(src)
         doomed = alive - coaccessible
-        for st in alive:
-            if st.kind == Y:
-                for tr in outgoing[st]:
-                    if tr.cls == YZ and tr.target in doomed:
-                        doomed.add(st)
-                        break
+        doomed |= {
+            pos
+            for pos in coaccessible
+            if is_y[pos] and any(cls == YZ and dst in doomed for cls, dst in outgoing[pos])
+        }
         if not doomed:
             break
         alive -= doomed
     if annotated.initial not in alive:
-        return Tpo(name=f"{t.name}|aes", events=t.events, states=(), transitions=(), initial=None)
+        return Tpo(name, t.events, [], [], None)
     reachable = {annotated.initial}
     queue = deque([annotated.initial])
     # The last pass removed nothing, so ``outgoing`` is the alive graph.
     while queue:
-        here = queue.popleft()
-        for tr in outgoing[here]:
-            if tr.target not in reachable:
-                reachable.add(tr.target)
-                queue.append(tr.target)
-    states = tuple(st for st in annotated.states if st in reachable)
-    transitions = tuple(
-        tr for tr in annotated.transitions if tr.source in reachable and tr.target in reachable
-    )
+        for _, dst in outgoing[queue.popleft()]:
+            if dst not in reachable:
+                reachable.add(dst)
+                queue.append(dst)
+    kept = sorted(reachable)
+    position = {old: new for new, old in enumerate(kept)}
     return Tpo(
-        name=f"{t.name}|aes",
-        events=t.events,
-        states=states,
-        transitions=transitions,
-        initial=annotated.initial,
+        name,
+        t.events,
+        [annotated.states[old] for old in kept],
+        [
+            (position[src], cls, label, position[dst])
+            for src, cls, label, dst in annotated.transitions
+            if src in position and dst in position
+        ],
+        position[annotated.initial],
     )

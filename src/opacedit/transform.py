@@ -6,9 +6,9 @@ distinguishable.  System arrivals and deliveries are uncontrollable; insert,
 stop and erase decisions are controllable.  Y states are marked; the result
 is deterministic by construction.
 
-``encode_plain`` encodes TPOs given as plain data (``tpo.PlainTpo``), as
-synthesis explores them; ``transform_modular`` and ``transform_monolithic``
-flatten ``Tpo`` graphs into that form first.
+``transform_modular`` encodes TPOs (``tpo.Tpo``) as ``tpo.build_largest_tpo``
+gives them, reading each state's fields by position; ``transform_monolithic``
+is its one-component case.
 
 ``MOVES`` declares each decoration kind once: the TPO transition class it
 encodes, how its name is spelled, its controllability and its role in a step.
@@ -39,7 +39,7 @@ from .automata import (
     Transition,
     erasure_symbol,
 )
-from .tpo import PlainTpo, Tpo, Y, YZ, Z, ZW1, ZW2, ZZ, WY1, WY2, render_names, state_fields
+from .tpo import Tpo, Y, YZ, Z, ZW1, ZW2, ZZ, WY1, WY2, render_names
 
 SYSTEM = "system"
 INSERT = "insert"
@@ -167,35 +167,14 @@ def transform_monolithic(t: Tpo, name: str | None = None) -> TransformedAutomato
     return transform_modular([t], [t.events], names=[name or f"{t.name}^T"])[0]
 
 
-def _plain(t: Tpo) -> PlainTpo:
-    position = {st: i for i, st in enumerate(t.states)}
-    return PlainTpo(
-        events=t.events,
-        states=[state_fields(st) for st in t.states],
-        transitions=[(position[tr.source], tr.cls, tr.label, position[tr.target]) for tr in t.transitions],
-        initial=position.get(t.initial),
-    )
-
-
 def transform_modular(
     ts: Sequence[Tpo],
     alphabets: Sequence[Iterable[Event]],
     names: Sequence[str] | None = None,
 ) -> tuple[TransformedAutomaton, ...]:
     """Encode each component TPO as a plant automaton for modular
-    composition, as ``encode_plain`` does; component ``i`` is named
-    ``names[i]``, by default its TPO's name with ``^T``."""
-    names = names or [f"{t.name}^T" for t in ts]
-    return encode_plain([_plain(t) for t in ts], alphabets, names)
-
-
-def encode_plain(
-    ts: Sequence[PlainTpo],
-    alphabets: Sequence[Iterable[Event]],
-    names: Sequence[str],
-) -> tuple[TransformedAutomaton, ...]:
-    """Encode each component TPO, given as plain data, as a plant automaton
-    named ``names[i]`` for modular composition.
+    composition; component ``i`` is named ``names[i]``, by default its TPO's
+    name with ``^T``.
 
     The alphabet contains, besides the actual transitions' events, every
     decorated decision that is possible in principle for the TPO: inserts of
@@ -218,6 +197,7 @@ def encode_plain(
     is unsafe.  An unobservable event stays private to its component and
     invisible to the edit function.
     """
+    names = names or [f"{t.name}^T" for t in ts]
     declared = [{ev.name: ev for ev in alphabet} for alphabet in alphabets]
     for i, events in enumerate(declared):
         reserved = sorted(label for label in events if not is_plain_event_name(label))

@@ -44,6 +44,7 @@ from opacedit import (
     step,
     synthesize_modular_edit_structure,
 )
+from opacedit.tpo import render_names
 
 # composite estimates of the demo pair, as the observer names them
 A = "{(q0,s0)}"
@@ -104,9 +105,9 @@ def test_criterion_01_fixture_synthesis_prunes_unsafe_region():
         assert not m.is_empty()
 
         mono = monolithic_tpo()
-        names = {st.name for st in mono.states}
-        assert set(FORBIDDEN) <= names
-        edges = {(tr.source, (tr.cls, tr.label)): tr.target for tr in mono.transitions}
+        names = render_names(mono.states)
+        assert set(FORBIDDEN) <= set(names)
+        edges = {(src, (cls, label)): dst for src, cls, label, dst in mono.transitions}
 
         # walk the supervisor jointly with the monolithic game; the image of
         # every reachable supervisor state must dodge the forbidden set
@@ -123,7 +124,7 @@ def test_criterion_01_fixture_synthesis_prunes_unsafe_region():
                 if pair not in seen:
                     seen.add(pair)
                     queue.append(pair)
-        assert not set(FORBIDDEN) & {st.name for st in image}
+        assert not set(FORBIDDEN) & {names[pos] for pos in image}
 
 
 def test_criterion_02_interactive_narrative(structure):

@@ -4,7 +4,6 @@ were written before the direct writer.  The writer must produce the same
 text for every document, on every supported Python version."""
 
 import json
-from dataclasses import asdict
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,7 +26,7 @@ from opacedit import (
     transform_monolithic,
 )
 from opacedit.synthesis import ModularEditStructure, encode_components
-from opacedit.tpo import W, WY2, Y, YZ, Z, ZW2, Tpo, TpoState, TpoTransition, state_names
+from opacedit.tpo import W, WY2, Y, YZ, Z, ZW2, Tpo, render_names
 from opacedit.transform import TransformedAutomaton
 
 # --- reference ------------------------------------------------------------
@@ -52,10 +51,13 @@ def _automaton_to_dict(a):
     }
 
 
+_TPO_FIELDS = ("kind", "x_d", "x_f", "event", "action", "erased", "count")
+
+
 def _tpo_to_dict(t):
-    names = state_names(t.states)
+    names = render_names(t.states)
     states = [
-        {key: value for key, value in asdict(s).items() if value is not None and value is not False}
+        {key: value for key, value in zip(_TPO_FIELDS, s) if value is not None and value is not False}
         for s in t.states
     ]
     return {
@@ -63,9 +65,7 @@ def _tpo_to_dict(t):
         "name": t.name,
         "events": _events_to_list(t.events),
         "states": states,
-        "transitions": [
-            [names[tr.source], tr.cls, tr.label, names[tr.target]] for tr in t.transitions
-        ],
+        "transitions": [[names[src], cls, label, names[dst]] for src, cls, label, dst in t.transitions],
         "initial": None if t.initial is None else names[t.initial],
     }
 
@@ -171,7 +171,7 @@ def test_writer_matches_reference_on_random_pairs_and_rings(ring):
     assert any(m.is_empty() for m in structures)
     assert any(m.diagnostics for m in structures) and any(not m.diagnostics for m in structures)
     assert any(t.initial is None for t in tpos)
-    assert any(s.count is not None for t in tpos for s in t.states)
+    assert any(s[-1] is not None for t in tpos for s in t.states)
 
 
 def test_writer_matches_reference_on_empty_documents():
@@ -222,27 +222,25 @@ def test_writer_matches_reference_on_any_names(names, flags):
         ),
         transitions=tuple(zip(names, names, reversed(names))),
     )
-    y = [TpoState(Y, n, n) for n in names]
-    z = [TpoState(Z, n, n, event=n, count=i if flags[i] else None) for i, n in enumerate(names)]
-    w = [TpoState(W, n, n, action=n, erased=True) for n in names]
+    y = [(Y, n, n, None, None, False, None) for n in names]
+    z = [(Z, n, n, n, None, False, i if flags[i] else None) for i, n in enumerate(names)]
+    w = [(W, n, n, None, n, True, None) for n in names]
     try:
-        state_names(y + z + w)
+        render_names(y + z + w)
     except InvalidAutomaton:
         assume(False)
+    # y[i], z[i] and w[i] sit at positions i, m + i and 2m + i
+    m = len(names)
     tpo = Tpo(
         name=names[0],
         events=a.events,
-        states=tuple(y + z + w),
-        transitions=tuple(
+        states=y + z + w,
+        transitions=[
             tr
             for i, n in enumerate(names)
-            for tr in (
-                TpoTransition(y[i], YZ, n, z[i]),
-                TpoTransition(z[i], ZW2, n, w[i]),
-                TpoTransition(w[i], WY2, n, y[-1 - i]),
-            )
-        ),
-        initial=y[0] if flags[0] else None,
+            for tr in ((i, YZ, n, m + i), (m + i, ZW2, n, 2 * m + i), (2 * m + i, WY2, n, m - 1 - i))
+        ],
+        initial=0 if flags[0] else None,
     )
     encoded = TransformedAutomaton(automaton=a, origins={n: Y for n in names}, decorations={})
     structure = ModularEditStructure(

@@ -33,6 +33,7 @@ from opacedit import (
     transform_monolithic,
 )
 from opacedit.cli import main
+from opacedit.tpo import state_name
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 G1 = str(DATA / "demo_g1.json")
@@ -64,7 +65,7 @@ def test_tpo_document_round_trip(mono_tpo):
 @pytest.mark.parametrize("budget", [1, 2])
 def test_count_annotated_tpo_document_round_trip(mono_tpo, budget):
     annotated = prune_to_aes(mono_tpo, budget)
-    assert any(st.count == 0 for st in annotated.states)
+    assert any(count == 0 for *_, count in annotated.states)
     text = serialize_document(annotated)
     assert parse_document(text) == annotated
     assert '"count": 0' in text
@@ -558,7 +559,7 @@ def test_largest_tpo_does_not_merge_states_that_render_alike(second):
 )
 def test_cli_rejects_event_names_that_make_game_states_collide(tmp_path, second, command):
     g = _game_collision_component(second)
-    names = [st.name for st in largest_tpo(g).states]
+    names = [state_name(*fields) for fields in largest_tpo(g).states]
     shared = {name for name in names if names.count(name) > 1}
     path = tmp_path / "collide.json"
     path.write_text(serialize_automaton(g), encoding="utf-8")
@@ -651,6 +652,21 @@ def _set_boolean_count(doc):
     return "$.states[0].count: expected an integer, got True"
 
 
+def _set_negative_count(doc):
+    doc["states"][0]["count"] = -1
+    return "$.states[0].count: expected a nonnegative integer, got -1"
+
+
+def _add_field(kind, key, value):
+    # a field the game never sets on a state of ``kind``
+    def edit(doc):
+        index = next(i for i, st in enumerate(doc["states"]) if st["kind"] == kind)
+        doc["states"][index][key] = value
+        return f"$.states[{index}].{key}: a {kind} state"
+
+    return edit
+
+
 def _set_initial(value):
     def edit(doc):
         doc["initial"] = value
@@ -673,6 +689,13 @@ def _set_initial(value):
         _set_unknown_target,
         _deliver_after_erasure,
         _set_boolean_count,
+        _set_negative_count,
+        _add_field("Y", "event", "zz"),
+        _add_field("Y", "action", "alpha"),
+        _add_field("Z", "action", "alpha"),
+        _add_field("W", "event", "alpha"),
+        _add_field("Y", "erased", True),
+        _add_field("Z", "erased", True),
         _set_initial([]),
         _set_initial({}),
         _relabel_first("yz", "alpha"),
@@ -696,6 +719,13 @@ def _set_initial(value):
         "unknown-target",
         "wy1-erased",
         "count",
+        "negative-count",
+        "y-event",
+        "y-action",
+        "z-action",
+        "w-event",
+        "y-erased",
+        "z-erased",
         "initial-list",
         "initial-object",
         "yz-label",
@@ -724,8 +754,8 @@ def test_cli_export_dot_rejects_invalid_tpo_document(tmp_path, edit):
 
 def test_tpo_document_cites_states_by_rendered_name(mono_tpo):
     doc = json.loads(serialize_document(mono_tpo))
-    assert doc["initial"] == mono_tpo.initial.name
-    assert doc["transitions"][0][0] == mono_tpo.transitions[0].source.name
+    assert doc["initial"] == state_name(*mono_tpo.states[mono_tpo.initial])
+    assert doc["transitions"][0][0] == state_name(*mono_tpo.states[mono_tpo.transitions[0][0]])
     assert parse_document(json.dumps(doc)).initial == mono_tpo.initial
 
 

@@ -35,7 +35,7 @@ from opacedit import (
     transform_monolithic,
 )
 from opacedit.oracle import _aes_canonical, _supervisor_canonical, tpo_bisimilar
-from opacedit.tpo import W, Tpo, TpoTransition
+from opacedit.tpo import W
 from opacedit.transform import decoration_table
 
 
@@ -110,13 +110,7 @@ def test_modular_inclusion_on_fixture():
 
 def _without_transition(t, i):
     """``t`` with its ``i``-th transition dropped."""
-    return Tpo(
-        name=t.name,
-        events=t.events,
-        states=t.states,
-        transitions=t.transitions[:i] + t.transitions[i + 1 :],
-        initial=t.initial,
-    )
+    return t._replace(transitions=t.transitions[:i] + t.transitions[i + 1 :])
 
 
 def test_tpo_bisimilar_flags_a_dropped_transition():
@@ -129,22 +123,10 @@ def test_tpo_bisimilar_flags_a_dropped_transition():
 def test_tpo_bisimilar_flags_a_changed_kind():
     # the target keeps its outgoing moves; only its kind differs
     t = largest_tpo(demo_composed())
-    target = t.transitions[0].target
-    changed = dataclasses.replace(target, kind=W)
-
-    def swap(st):
-        return changed if st == target else st
-
-    other = Tpo(
-        name=t.name,
-        events=t.events,
-        states=tuple(map(swap, t.states)),
-        transitions=tuple(
-            TpoTransition(swap(tr.source), tr.cls, tr.label, swap(tr.target)) for tr in t.transitions
-        ),
-        initial=swap(t.initial),
-    )
-    assert not tpo_bisimilar(t, other)
+    target = t.transitions[0][3]
+    states = list(t.states)
+    states[target] = (W, *states[target][1:])
+    assert not tpo_bisimilar(t, t._replace(states=states))
 
 
 def test_supervisor_canonical_differs_from_an_aes_at_another_bound():

@@ -16,7 +16,6 @@ from opacedit import (
 )
 from opacedit.oracle import RandomSpec, random_pair
 from opacedit.synthesis import ProductPlant, product_plant
-from opacedit.tpo import TpoState, TpoTransition, largest_tpo
 
 
 def test_structure_is_nonempty(structure):
@@ -399,21 +398,3 @@ def test_supervisor_computes_reachability_once(structure, monkeypatch):
     monkeypatch.setattr(Automaton, "reachable_states", counted)
     supremal_controllable_nonblocking(structure.plant)
     assert len(calls) <= 1
-
-
-def test_synthesis_builds_no_tpo_graph(monkeypatch, ring):
-    built = []
-    for cls in (TpoState, TpoTransition):
-
-        def counted(self, *args, original=cls.__init__, **kwargs):
-            built.append(type(self).__name__)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counted)
-    for systems in (list(demo_pair()), ring(0)):
-        m = synthesize_modular_edit_structure(systems, max_erasures=1)
-        assert all(comp.origins for comp in m.components)
-    assert built == []
-    # the count sees the graph when one is built
-    largest_tpo(demo_pair()[0])
-    assert {"TpoState", "TpoTransition"} <= set(built)

@@ -1,14 +1,11 @@
 """Three-player observers: construction, runs, the erasure bound, pruning."""
 
 from collections import deque
-from dataclasses import replace
 
 from opacedit import (
     EPSILON,
     RandomSpec,
     Tpo,
-    TpoState,
-    TpoTransition,
     abstract_component,
     build_largest_tpo,
     check_complete,
@@ -29,55 +26,70 @@ D = "{(q1,s1),(q1,s2),(q2,s1),(q2,s2)}"
 E = "{(q3,s3)}"
 
 
+# A state's fields: kind, x_d, x_f, event, action, erased, count.
+KIND, X_D, X_F, EVENT, ERASED, COUNT = 0, 1, 2, 3, 5, 6
+
+
 def y(xd, xf):
-    return TpoState(kind="Y", x_d=xd, x_f=xf)
+    return ("Y", xd, xf, None, None, False, None)
 
 
 def z(xd, xf, e):
-    return TpoState(kind="Z", x_d=xd, x_f=xf, event=e)
+    return ("Z", xd, xf, e, None, False, None)
 
 
 def w_erased(xd, xf, e):
-    return TpoState(kind="W", x_d=xd, x_f=xf, action=e, erased=True)
+    return ("W", xd, xf, None, e, True, None)
 
 
 def w_commit(xd, xf, e):
-    return TpoState(kind="W", x_d=xd, x_f=xf, action=e)
+    return ("W", xd, xf, None, e, False, None)
+
+
+def _edges(t):
+    """Each transition of ``t`` as (source fields, class, label, target fields)."""
+    return [(t.states[src], cls, label, t.states[dst]) for src, cls, label, dst in t.transitions]
+
+
+def _outgoing(t):
+    """The (class, label, target fields) moves out of each state of ``t``, by its fields."""
+    table = {st: [] for st in t.states}
+    for src, cls, label, dst in _edges(t):
+        table[src].append((cls, label, dst))
+    return table
 
 
 def test_initial_state_pairs_both_estimates(mono_tpo):
-    assert mono_tpo.initial == y(A, A)
+    assert mono_tpo.states[mono_tpo.initial] == y(A, A)
 
 
 def test_kind_layers_alternate(mono_tpo):
-    for tr in mono_tpo.transitions:
-        src, dst = tr.source, tr.target
-        if tr.cls == "yz":
-            assert (src.kind, dst.kind) == ("Y", "Z")
-        elif tr.cls == "zz":
-            assert (src.kind, dst.kind) == ("Z", "Z")
-        elif tr.cls in ("zw1", "zw2"):
-            assert (src.kind, dst.kind) == ("Z", "W")
+    for src, cls, _, dst in _edges(mono_tpo):
+        kinds = (src[KIND], dst[KIND])
+        if cls == "yz":
+            assert kinds == ("Y", "Z")
+        elif cls == "zz":
+            assert kinds == ("Z", "Z")
+        elif cls in ("zw1", "zw2"):
+            assert kinds == ("Z", "W")
         else:
-            assert (src.kind, dst.kind) == ("W", "Y")
+            assert kinds == ("W", "Y")
 
 
 def test_insertion_moves_intruder_estimate_only(mono_tpo, composed):
     obsd = desired_observer(determinize(composed))
-    for tr in mono_tpo.transitions:
-        if tr.cls == "zz":
-            src, dst = tr.source, tr.target
-            assert src.x_f == dst.x_f
-            assert src.event == dst.event
-            assert obsd.automaton.successors(src.x_d, tr.label) == (dst.x_d,)
+    for src, cls, label, dst in _edges(mono_tpo):
+        if cls == "zz":
+            assert src[X_F] == dst[X_F]
+            assert src[EVENT] == dst[EVENT]
+            assert obsd.automaton.successors(src[X_D], label) == (dst[X_D],)
 
 
 def test_erasure_keeps_intruder_estimate(mono_tpo):
-    for tr in mono_tpo.transitions:
-        if tr.cls == "zw2":
-            src, dst = tr.source, tr.target
-            assert dst.erased
-            assert src.x_d == dst.x_d
+    for src, cls, _, dst in _edges(mono_tpo):
+        if cls == "zw2":
+            assert dst[ERASED]
+            assert src[X_D] == dst[X_D]
 
 
 def test_commit_and_erased_w_states_are_distinct(mono_tpo):
@@ -89,8 +101,8 @@ def test_commit_and_erased_w_states_are_distinct(mono_tpo):
 
 def test_stop_requires_safe_delivery(mono_tpo):
     # alpha from (A,D) is never safe, so no stop decision exists there
-    out = mono_tpo.outgoing()
-    decisions = {tr.cls for tr in out[z(A, D, "alpha")]}
+    out = _outgoing(mono_tpo)
+    decisions = {cls for cls, _, _ in out[z(A, D, "alpha")]}
     assert "zw1" not in decisions
     assert "zw2" in decisions
 
@@ -140,37 +152,36 @@ def test_run_string_and_edit_projection(mono_tpo):
         w_commit(A, C, "beta"),
         y(B, D),
     ]
-    out = mono_tpo.outgoing()
-    assert path[0] == mono_tpo.initial
+    out = _outgoing(mono_tpo)
+    assert path[0] == mono_tpo.states[mono_tpo.initial]
     steps = []
     for src, dst in zip(path, path[1:]):
-        (tr,) = [t for t in out[src] if t.target == dst]
-        steps.append(tr)
-    assert tuple(tr.label for tr in steps if tr.cls in ("zz", "wy1")) == ("beta",)
-    assert tuple(tr.label for tr in steps if tr.cls == "yz") == ("gamma", "beta")
+        (move,) = [move for move in out[src] if move[2] == dst]
+        steps.append(move)
+    assert tuple(label for cls, label, _ in steps if cls in ("zz", "wy1")) == ("beta",)
+    assert tuple(label for cls, label, _ in steps if cls == "yz") == ("gamma", "beta")
 
 
 def test_constrain_erasures_counts_reset_on_insert(mono_tpo):
     annotated = constrain_erasures(mono_tpo, 1)
-    for tr in annotated.transitions:
-        src, dst = tr.source, tr.target
-        if tr.cls == "zz":
-            assert dst.count == 0
-        elif tr.cls == "zw2":
-            assert dst.count == src.count + 1
+    for src, cls, _, dst in _edges(annotated):
+        if cls == "zz":
+            assert dst[COUNT] == 0
+        elif cls == "zw2":
+            assert dst[COUNT] == src[COUNT] + 1
         else:
-            assert dst.count == src.count
-    assert all(st.count <= 1 for st in annotated.states)
+            assert dst[COUNT] == src[COUNT]
+    assert all(st[COUNT] <= 1 for st in annotated.states)
 
 
 def test_constrain_erasures_zero_budget_blocks_all_erasures(mono_tpo):
     annotated = constrain_erasures(mono_tpo, 0)
-    assert all(tr.cls != "zw2" for tr in annotated.transitions)
+    assert all(cls != "zw2" for _, cls, _, _ in annotated.transitions)
 
 
 def test_prune_to_aes_reference_removals(mono_tpo):
     aes = prune_to_aes(mono_tpo, 1)
-    bases = {replace(st, count=None) for st in aes.states}
+    bases = {st[:COUNT] + (None,) for st in aes.states}
     removed = [
         y(A, D),
         y(B, E),
@@ -194,14 +205,14 @@ def test_prune_to_aes_drops_decision_cycles_without_exit():
     obs = determinize(g)
     t = build_largest_tpo(desired_observer(obs), obs)
     aes = prune_to_aes(t, 0)
-    out = aes.outgoing()
+    out = _outgoing(aes)
     states = aes.states
-    coacc = {s for s in states if s.kind == "Y"}
+    coacc = {s for s in states if s[KIND] == "Y"}
     changed = True
     while changed:
         changed = False
         for n in states:
-            if n not in coacc and any(tr.target in coacc for tr in out[n]):
+            if n not in coacc and any(dst in coacc for _, _, dst in out[n]):
                 coacc.add(n)
                 changed = True
     assert set(states) == coacc
@@ -224,12 +235,12 @@ def test_prune_to_aes_unenforceable_returns_empty():
 
 def _reference_build_largest_tpo(obsd, obs, name="tpo"):
     """The construction as first written: every probe through
-    ``Automaton.successors`` and every state looked up by its value.  The
+    ``Automaton.successors`` and every state looked up by its fields.  The
     differential tests below hold ``build_largest_tpo`` to it."""
     det_d = obsd.automaton
     det_f = obs.automaton
     if obs.initial is None or obsd.initial is None:
-        return Tpo(name=name, events=det_f.events, states=(), transitions=(), initial=None)
+        return Tpo(name=name, events=det_f.events, states=[], transitions=[], initial=None)
 
     def d_succ(x_d, event):
         targets = det_d.successors(x_d, event)
@@ -251,42 +262,42 @@ def _reference_build_largest_tpo(obsd, obs, name="tpo"):
             queue.append(state)
         return known
 
-    y0 = admit(TpoState(kind="Y", x_d=obsd.initial, x_f=obs.initial))
+    y0 = admit(y(obsd.initial, obs.initial))
     while queue:
         here = queue.popleft()
-        if here.kind == "Y":
+        kind, x_d, x_f, pending, action, erased, _ = here
+        if kind == "Y":
             for event in observable:
-                if f_succ(here.x_f, event) is None:
+                if f_succ(x_f, event) is None:
                     continue
-                z = admit(TpoState(kind="Z", x_d=here.x_d, x_f=here.x_f, event=event))
-                transitions.append(TpoTransition(here, "yz", event, z))
-        elif here.kind == "Z":
-            pending = here.event
+                transitions.append((here, "yz", event, admit(z(x_d, x_f, event))))
+        elif kind == "Z":
             for theta in observable:
-                nxt_d = d_succ(here.x_d, theta)
+                nxt_d = d_succ(x_d, theta)
                 if nxt_d is None:
                     continue
-                z = admit(TpoState(kind="Z", x_d=nxt_d, x_f=here.x_f, event=pending))
-                transitions.append(TpoTransition(here, "zz", theta, z))
-            if d_succ(here.x_d, pending) is not None and f_succ(here.x_f, pending) is not None:
-                w = admit(TpoState(kind="W", x_d=here.x_d, x_f=here.x_f, action=pending))
-                transitions.append(TpoTransition(here, "zw1", EPSILON, w))
-            if f_succ(here.x_f, pending) is not None:
-                w = admit(TpoState(kind="W", x_d=here.x_d, x_f=here.x_f, action=pending, erased=True))
-                transitions.append(TpoTransition(here, "zw2", erasure_symbol(pending), w))
+                transitions.append((here, "zz", theta, admit(z(nxt_d, x_f, pending))))
+            if d_succ(x_d, pending) is not None and f_succ(x_f, pending) is not None:
+                transitions.append((here, "zw1", EPSILON, admit(w_commit(x_d, x_f, pending))))
+            if f_succ(x_f, pending) is not None:
+                transitions.append((here, "zw2", erasure_symbol(pending), admit(w_erased(x_d, x_f, pending))))
         else:
-            event = here.action
-            nxt_f = f_succ(here.x_f, event)
-            if here.erased:
+            nxt_f = f_succ(x_f, action)
+            if erased:
                 if nxt_f is not None:
-                    y = admit(TpoState(kind="Y", x_d=here.x_d, x_f=nxt_f))
-                    transitions.append(TpoTransition(here, "wy2", event, y))
+                    transitions.append((here, "wy2", action, admit(y(x_d, nxt_f))))
             else:
-                nxt_d = d_succ(here.x_d, event)
+                nxt_d = d_succ(x_d, action)
                 if nxt_d is not None and nxt_f is not None:
-                    y = admit(TpoState(kind="Y", x_d=nxt_d, x_f=nxt_f))
-                    transitions.append(TpoTransition(here, "wy1", event, y))
-    return Tpo(name=name, events=det_f.events, states=tuple(states), transitions=tuple(transitions), initial=y0)
+                    transitions.append((here, "wy1", action, admit(y(nxt_d, nxt_f))))
+    position = {st: i for i, st in enumerate(states)}
+    return Tpo(
+        name=name,
+        events=det_f.events,
+        states=list(states),
+        transitions=[(position[src], cls, label, position[dst]) for src, cls, label, dst in transitions],
+        initial=position[y0],
+    )
 
 
 def _observer_pairs(g):

@@ -25,11 +25,11 @@ from opacedit import (
     transform_monolithic,
 )
 from opacedit.cli import main
-from opacedit.documents import serialize_automaton
+from opacedit.documents import parse_document, serialize_automaton, serialize_document
 from opacedit.oracle import RandomSpec, random_pair, random_system
 from opacedit.synthesis import encode_components
 from opacedit import tpo as tpo_module
-from opacedit.tpo import Y, Z
+from opacedit.tpo import Y, Z, render_names
 from opacedit.transform import (
     DELIVER,
     DELIVER_ERASED,
@@ -100,24 +100,19 @@ def test_decorations_of_accepted_names_read_back(base, context):
 
 def test_monolithic_encoding_mirrors_tpo(mono_tpo):
     enc = transform_monolithic(mono_tpo)
-    assert set(enc.origins) == {st.name for st in mono_tpo.states}
+    names = render_names(mono_tpo.states)
+    assert set(enc.origins) == set(names)
     # marked states are exactly the Y layer
     for st in enc.automaton.states:
         assert st.marked == (enc.origins[st.name] == "Y")
     # every plant edge carries the run label of the matching TPO edge
     tpo_edges = {
-        (tr.source.name, run_label_of(tr), tr.target.name) for tr in mono_tpo.transitions
+        (names[src], (cls, EPSILON if cls == "zw1" else label), names[dst])
+        for src, cls, label, dst in mono_tpo.transitions
     }
     for src, label, dst in enc.automaton.transitions:
         dec = enc.decorations[label]
         assert (src, run_label(dec), dst) in tpo_edges
-
-
-def run_label_of(tr):
-    from opacedit.automata import EPSILON
-
-    label = EPSILON if tr.cls == "zw1" else tr.label
-    return (tr.cls, label)
 
 
 def test_monolithic_encoding_is_deterministic(mono_tpo):
@@ -129,17 +124,13 @@ def test_monolithic_encoding_is_deterministic(mono_tpo):
 
 
 def test_encoding_matches_states_by_value_not_identity(mono_tpo):
-    # A TPO whose initial state and transition endpoints are equal copies of
-    # the listed states, not the same objects, encodes the same way.
-    copied = replace(
-        mono_tpo,
-        initial=replace(mono_tpo.initial),
-        transitions=tuple(
-            replace(tr, source=replace(tr.source), target=replace(tr.target)) for tr in mono_tpo.transitions
-        ),
-    )
+    # A TPO read back from its document holds equal copies of the states and
+    # transitions, not the same objects, and encodes the same way.
+    copied = parse_document(serialize_document(mono_tpo))
+    assert copied == mono_tpo
     _assert_same_encodings((transform_monolithic(copied),), (transform_monolithic(mono_tpo),))
-    assert transform_monolithic(copied).automaton.initial_states == (mono_tpo.initial.name,)
+    initial = render_names(mono_tpo.states)[mono_tpo.initial]
+    assert transform_monolithic(copied).automaton.initial_states == (initial,)
 
 
 def test_modular_alphabet_blocks_foreign_context_shared_decisions(structure):
@@ -180,7 +171,8 @@ def test_modular_own_decisions_present(structure):
 
 
 def _reference_monolithic(t, name=None):
-    contexts = sorted({st.event for st in t.states if st.kind == Z})
+    names = render_names(t.states)
+    contexts = sorted({event for kind, _, _, event, *_ in t.states if kind == Z})
     alphabet = sorted(ev.name for ev in t.events if ev.observable)
     events = {}
     for base in alphabet:
@@ -196,18 +188,18 @@ def _reference_monolithic(t, name=None):
             events[dec.name] = dec.event()
     transitions = []
     decorations = {}
-    for tr in t.transitions:
-        pending = tr.source.event if tr.source.kind == Z else None
-        dec = _decorate(tr.cls, tr.label, pending)
+    for src, cls, label, dst in t.transitions:
+        kind, _, _, event, *_ = t.states[src]
+        dec = _decorate(cls, label, event if kind == Z else None)
         if dec.name not in events:
             events[dec.name] = dec.event()
         decorations[dec.name] = dec
-        transitions.append((tr.source.name, dec.name, tr.target.name))
+        transitions.append((names[src], dec.name, names[dst]))
     for ev_name in events:
         decorations.setdefault(ev_name, parse_decorated(ev_name))
     states = tuple(
-        State(name=st.name, initial=(st == t.initial), marked=(st.kind == Y), secret=False)
-        for st in t.states
+        State(name=name, initial=(pos == t.initial), marked=(st[0] == Y), secret=False)
+        for pos, (st, name) in enumerate(zip(t.states, names))
     )
     automaton = Automaton(
         name=name or f"{t.name}^T",
@@ -217,7 +209,7 @@ def _reference_monolithic(t, name=None):
     )
     if not automaton.is_deterministic:
         raise InvalidAutomaton("transformed TPO is not deterministic")
-    origins = {st.name: st.kind for st in t.states}
+    origins = {name: st[0] for st, name in zip(t.states, names)}
     return TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations)
 
 
