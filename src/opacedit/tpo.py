@@ -267,7 +267,8 @@ def constrain_erasures(t: Tpo, max_erasures: int) -> Tpo:
             else:
                 nxt = count
             transitions.append((here, cls, label, admit((dst, nxt))))
-    states = [t.states[base][:6] + (count,) for base, count in annotated]
+    # The count is a state's last field.
+    states = [t.states[base][:-1] + (count,) for base, count in annotated]
     return Tpo(name, t.events, states, transitions, 0)
 
 
