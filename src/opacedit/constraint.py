@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .automata import Automaton, Event, State, Transition
-from .transform import ERASE, INSERT, TransformedAutomaton, decoration_table
+from .tpo import ADD_ONE, MOVES, RESET
+from .transform import TransformedAutomaton, decoration_table
 
 
 @dataclass(frozen=True)
@@ -25,10 +26,11 @@ class ConstraintSpec:
 
 
 def constraint_alphabet(components: Sequence[TransformedAutomaton]) -> ConstraintSpec:
-    """Collect every insert and erase decoration declared by the components."""
+    """The declared decorations whose move resets the run of erasures (the
+    inserts) and those whose move adds one to it (the erasures), by ``MOVES``."""
     table = decoration_table(components)
-    inserts = tuple(sorted(name for name, dec in table.items() if dec.kind == INSERT))
-    erasures = tuple(sorted(name for name, dec in table.items() if dec.kind == ERASE))
+    inserts = tuple(sorted(name for name, dec in table.items() if MOVES[dec.kind].run == RESET))
+    erasures = tuple(sorted(name for name, dec in table.items() if MOVES[dec.kind].run == ADD_ONE))
     return ConstraintSpec(inserts=inserts, erasures=erasures)
 
 

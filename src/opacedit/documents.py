@@ -27,7 +27,7 @@ from typing import Any
 
 from .automata import EPSILON, TAU, Automaton, Event, InvalidAutomaton, State, erasure_symbol
 from .synthesis import ModularEditStructure
-from .tpo import ENDPOINTS, KINDS, W, Y, YZ, Z, ZW1, ZW2, ZZ, Tpo, render_names
+from .tpo import ERASE, INSERT, KINDS, MOVES, STOP, SYSTEM, W, Y, Z, Tpo, render_names, run_after
 from .transform import TransformedAutomaton, decoration_table, parse_decorated
 
 KIND_TPO = "tpo"
@@ -73,8 +73,8 @@ def _optional_string(value: Any, path: str) -> str | None:
     return None if value is None else _expect_string(value, path)
 
 
-# Apart from TPO states, the readers below check each entry's types inline
-# and format no path for it; an entry that fails the inline check goes
+# Apart from events and TPO states, the readers below check each entry's
+# types inline and format no path for it; an entry that fails the inline check goes
 # through the ``_expect_*`` reader, which raises at the entry's path (or
 # accepts the few values the inline check leaves to it, such as a ``dict``
 # subclass).
@@ -91,18 +91,10 @@ def _event_from_dict(entry: Any, here: str) -> Event:
 
 
 def _events_from_dict(doc: dict, path: str) -> tuple[Event, ...]:
-    events = []
-    for i, entry in enumerate(_expect_list(doc.get("events", []), f"{path}.events")):
-        if (
-            type(entry) is dict
-            and type(name := entry.get("name")) is str
-            and type(observable := entry.get("observable")) in _FLAG
-            and type(controllable := entry.get("controllable")) in _FLAG
-        ):
-            events.append(Event(name, observable is not False, controllable is not False))
-        else:
-            events.append(_event_from_dict(entry, f"{path}.events[{i}]"))
-    return tuple(events)
+    return tuple(
+        _event_from_dict(entry, f"{path}.events[{i}]")
+        for i, entry in enumerate(_expect_list(doc.get("events", []), f"{path}.events"))
+    )
 
 
 def _state_from_dict(entry: Any, here: str) -> State:
@@ -225,13 +217,13 @@ def _label_problem(cls: str, label: str, source: tuple, target: tuple, observabl
     ``target`` whose kinds fit the class, or None if it can."""
     _, _, _, pending, action, _, _ = source
     arriving = target[3]
-    if cls == ZZ:
+    if cls == INSERT:
         if label not in observable:
             return f"an insertion needs an observable event, got {label!r}"
         if arriving != pending:
             return f"an insertion keeps the pending event {pending!r}, got {arriving!r}"
         return None
-    expected = {YZ: arriving, ZW1: EPSILON, ZW2: erasure_symbol(pending)}.get(cls, action)
+    expected = {SYSTEM: arriving, STOP: EPSILON, ERASE: erasure_symbol(pending)}.get(cls, action)
     if label != expected:
         return f"class {cls!r} needs label {expected!r}, got {label!r}"
     return None
@@ -244,7 +236,8 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
     and erased flag of each endpoint.  A label must be what its class says:
     the arriving event, an observable insertion that keeps the pending event,
     ``ε`` for a stop, the pending event's erasure symbol, the delivered
-    action.  The initial state is a Y state."""
+    action.  The initial state is a Y state.  A count is on every state or on
+    none, and a transition's target count is ``run_after`` of its source's."""
     doc = _expect_object(doc, path)
     name = _expect_string(doc.get("name", "tpo"), f"{path}.name")
     events = _events_from_dict(doc, path)
@@ -274,9 +267,10 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
         if dst not in position:
             _fail(f"{path}.transitions[{i}][3]", f"unknown state {dst!r}")
         source, target = states[position[src]], states[position[dst]]
-        if cls not in ENDPOINTS:
-            _fail(f"{path}.transitions[{i}][1]", f"expected one of {', '.join(ENDPOINTS)}, got {cls!r}")
-        if ENDPOINTS[cls] != ((source[0], source[5]), (target[0], target[5])):
+        move = MOVES.get(cls)
+        if move is None:
+            _fail(f"{path}.transitions[{i}][1]", f"expected one of {', '.join(MOVES)}, got {cls!r}")
+        if (move.source, move.target) != ((source[0], source[5]), (target[0], target[5])):
             _fail(f"{path}.transitions[{i}][1]", f"class {cls!r} does not fit {src!r} -> {dst!r}")
         problem = _label_problem(cls, label, source, target, observable)
         if problem is not None:
@@ -287,6 +281,13 @@ def tpo_from_dict(doc: Any, path: str = "$") -> Tpo:
         _fail(f"{path}.initial", f"unknown state {initial!r}")
     if initial is not None and states[position[initial]][0] != Y:
         _fail(f"{path}.initial", f"the initial state {initial!r} is not a Y state")
+    counted = [fields[6] is not None for fields in states]
+    if any(counted) and not all(counted):
+        _fail(f"{path}.states[{counted.index(not counted[0])}].count", "states mix counted and uncounted ones")
+    for i, (src, cls, _, dst) in enumerate(transitions if any(counted) else ()):
+        before, after = states[src][6], states[dst][6]
+        if after != run_after(cls, before):
+            _fail(f"{path}.transitions[{i}]", f"class {cls!r} does not take count {before} to {after}")
     return Tpo(name, events, states, transitions, None if initial is None else position[initial])
 
 

@@ -1,11 +1,12 @@
 """Executing a synthesized edit structure event by event.
 
 A session sits at a supervisor state where every component is at a Y origin.
-Each step feeds one genuine system event: the uncontrollable arrival fires,
-then decisions (insert / stop / erase) are taken either from an explicit
-override list or from the session policy, and the closing delivery fires
-automatically.  The step's emitted string is what the intruder observes:
-insertions in order, then the genuine event unless it was erased.
+Each step feeds one genuine system event and plays one round, in the roles
+``tpo.MOVES`` gives the moves: the uncontrollable arrival; decisions, from an
+explicit override list and then from the session policy, up to and including
+the first stop or erasure; one delivery, back to a Y state.  Anything else
+raises ``StepError``.  The step's emitted string is what the intruder
+observes: insertions in order, then the genuine event unless it was erased.
 
 Policies:
 
@@ -34,9 +35,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .transform import (
-    DECISION, DELIVER, DELIVERY, ERASE, INSERT, MOVES, STOP, SYSTEM, DecoratedEvent, decoration_table,
-)
+from .tpo import DECISION, DELIVER, DELIVERY, ERASE, INSERT, MOVES, STOP, SYSTEM
+from .transform import DecoratedEvent, decoration_table
 
 if TYPE_CHECKING:
     from .synthesis import ModularEditStructure
@@ -51,8 +51,8 @@ _CACHED_POLICIES = ("pass-through", "lexicographic")
 
 
 class StepError(ValueError):
-    """Raised when a step cannot be executed: unknown or disabled event, or an
-    override the supervisor forbids."""
+    """Raised when a step cannot be executed: unknown or disabled event, an
+    override the supervisor forbids, or moves that do not make one round."""
 
 
 @dataclass(frozen=True)
@@ -142,16 +142,14 @@ def open_session(
     )
 
 
-def _enabled(session: Session, kinds: tuple[str, ...]) -> list[tuple[str, DecoratedEvent, str]]:
+def _enabled(session: Session, kinds: tuple[str, ...]) -> list[Edge]:
     return [item for item in session.outgoing(session.current) if item[1].kind in kinds]
 
 
-def _chain_to_decision(
-    session: Session, want: tuple[str, ...]
-) -> list[tuple[str, DecoratedEvent, str]] | None:
+def _chain_to_decision(session: Session, want: tuple[str, ...]) -> list[Edge] | None:
     """Shortest chain of insert edges leading to a state with an enabled
     decision among ``want``; ties broken by lexicographic edge order."""
-    chains: dict[str, list[tuple[str, DecoratedEvent, str]]] = {session.current: []}
+    chains: dict[str, list[Edge]] = {session.current: []}
     queue = deque([session.current])
     while queue:
         here = queue.popleft()
@@ -165,7 +163,7 @@ def _chain_to_decision(
     return None
 
 
-def _policy_chain(session: Session, inserted: int) -> list[tuple[str, DecoratedEvent, str]] | None:
+def _policy_chain(session: Session, inserted: int) -> list[Edge] | None:
     """The decisions the session policy takes next at the current state, after
     ``inserted`` policy insertions in this step: one decision, or a chain of
     insertions ending in a stop or an erasure.  None when there is none."""
@@ -184,13 +182,14 @@ def _policy_chain(session: Session, inserted: int) -> list[tuple[str, DecoratedE
 
 
 def step(session: Session, event: str, overrides: Sequence[str] | None = None) -> StepResult:
-    """Feed one genuine system event through the edit structure.
+    """Feed one genuine system event through the edit structure as one round:
+    its arrival, decisions up to the first stop or erasure, one delivery.
 
     ``overrides`` forces the leading decisions by their decorated names; once
-    exhausted the session policy finishes the step.  Pending deliveries fire
-    before any decision.  The session state only changes when the whole step
-    succeeds.  A ``pass-through`` or ``lexicographic`` step without overrides
-    is answered from the structure's step cache once it has succeeded before.
+    exhausted the session policy finishes the step.  The session state only
+    changes when the whole step succeeds.  A ``pass-through`` or
+    ``lexicographic`` step without overrides is answered from the
+    structure's step cache once it has succeeded before.
     """
     key = None
     if not overrides and session.policy in _CACHED_POLICIES:
@@ -220,6 +219,7 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
             if event not in session._decorations:
                 raise StepError(f"unknown event {event!r}")
             raise StepError(f"event {event!r} is not enabled at {session.current}")
+        # ``dec`` is the last move fired.
         while True:
             for label, dec, target in turn:
                 session.trace.append(label)
@@ -228,11 +228,12 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
                     emitted.append(dec.base)
                 if dec.kind in _DECISIONS:
                     decisions.append(label)
-            if session.at_y():
+            if dec.kind in _DELIVERIES:
                 break
-            deliveries = _enabled(session, _DELIVERIES)
-            if deliveries:
-                turn = deliveries[:1]
+            if dec.kind in _CLOSING:
+                turn = _enabled(session, _DELIVERIES)[:1]
+                if not turn:
+                    raise StepError(f"no delivery available at {session.current}")
             elif forced:
                 wanted = forced.popleft()
                 enabled = {item[0]: item for item in _enabled(session, _DECISIONS)}
@@ -248,6 +249,8 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
                     raise StepError(f"no decision available at {session.current}")
                 # a chain ends in a stop or an erasure: single picks spend the budget
                 inserted += turn[-1][1].kind == INSERT
+        if not session.at_y():
+            raise StepError(f"the delivery ends at {session.current}, which is not a Y state")
         if forced:
             raise StepError(f"decision {forced[0]!r} comes after the step completed")
     except StepError:

@@ -20,10 +20,11 @@ the system may simply have nothing left to say.
 
 A TPO is plain data, one form for synthesis, documents, DOT and the checks:
 a state is the tuple of its fields and a transition ``(source position,
-class, label, target position)``.  ``build_largest_tpo`` holds the game
-rules; pruning and the checks work on positions.  Names are rendered from a
-state's fields only at the boundary, by ``render_names``, for documents, DOT
-and the encoding.
+class, label, target position)``.  ``MOVES`` states the six moves, keyed by
+class, for every layer that needs their rules; ``build_largest_tpo`` holds the
+rest of the game rules, and pruning and the checks work on positions.  Names
+are rendered from a state's fields only at the boundary, by ``render_names``,
+for documents, DOT and the encoding.
 """
 
 from __future__ import annotations
@@ -36,16 +37,36 @@ from .estimation import Observer, desired_observer, determinize
 
 Y, Z, W = "Y", "Z", "W"
 KINDS = (Y, Z, W)
-YZ, ZZ, ZW1, ZW2, WY1, WY2 = "yz", "zz", "zw1", "zw2", "wy1", "wy2"
-# Per transition class: the kind and erased flag of its source and target.
-ENDPOINTS = {
-    YZ: ((Y, False), (Z, False)),
-    ZZ: ((Z, False), (Z, False)),
-    ZW1: ((Z, False), (W, False)),
-    ZW2: ((Z, False), (W, True)),
-    WY1: ((W, False), (Y, False)),
-    WY2: ((W, True), (Y, False)),
+ARRIVAL, DECISION, DELIVERY = "arrival", "decision", "delivery"
+KEEP, RESET, ADD_ONE = "keep", "reset", "add one"
+
+
+class Move(NamedTuple):
+    source: tuple[str, bool]  # the kind and erased flag of the state it leaves
+    target: tuple[str, bool]  # ... and of the state it enters
+    prefix: str  # how its decorated event's name starts
+    controllable: bool
+    role: str  # in one runtime step: ARRIVAL, DECISION or DELIVERY
+    run: str  # on the run of consecutive erasures: KEEP, RESET or ADD_ONE
+
+
+# The six moves of the edit game, keyed by the transition class TPO documents
+# spell: the arrival, insert, stop, erase and the two deliveries.
+SYSTEM, INSERT, STOP, ERASE, DELIVER, DELIVER_ERASED = "yz", "zz", "zw1", "zw2", "wy1", "wy2"
+MOVES = {
+    SYSTEM: Move((Y, False), (Z, False), "", False, ARRIVAL, KEEP),
+    INSERT: Move((Z, False), (Z, False), "ins:", True, DECISION, RESET),
+    STOP: Move((Z, False), (W, False), "stop", True, DECISION, KEEP),
+    ERASE: Move((Z, False), (W, True), "erz:", True, DECISION, ADD_ONE),
+    DELIVER: Move((W, False), (Y, False), "out:", False, DELIVERY, KEEP),
+    DELIVER_ERASED: Move((W, True), (Y, False), "drop:", False, DELIVERY, KEEP),
 }
+
+
+def run_after(move: str, run: int) -> int:
+    """The run of consecutive erasures after ``move``, made with a run of ``run``."""
+    effect = MOVES[move].run
+    return 0 if effect == RESET else run + 1 if effect == ADD_ONE else run
 
 
 def state_name(
@@ -145,25 +166,25 @@ def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
         if kind == Y:
             for event in observable:
                 if (x_f, event) in f_next:
-                    transitions.append((here, YZ, event, admit((Z, x_d, x_f, event, None, False, None))))
+                    transitions.append((here, SYSTEM, event, admit((Z, x_d, x_f, event, None, False, None))))
         elif kind == Z:
             for theta in observable:
                 nxt_d = d_next.get((x_d, theta))
                 if nxt_d is not None:
-                    transitions.append((here, ZZ, theta, admit((Z, nxt_d, x_f, pending, None, False, None))))
+                    transitions.append((here, INSERT, theta, admit((Z, nxt_d, x_f, pending, None, False, None))))
             if (x_f, pending) in f_next:
                 if (x_d, pending) in d_next:
-                    transitions.append((here, ZW1, EPSILON, admit((W, x_d, x_f, None, pending, False, None))))
+                    transitions.append((here, STOP, EPSILON, admit((W, x_d, x_f, None, pending, False, None))))
                 w = admit((W, x_d, x_f, None, pending, True, None))
-                transitions.append((here, ZW2, erasure_symbol(pending), w))
+                transitions.append((here, ERASE, erasure_symbol(pending), w))
         else:
             nxt_f = f_next.get((x_f, action))
             if nxt_f is None:
                 continue
             if erased:
-                transitions.append((here, WY2, action, admit((Y, x_d, nxt_f, None, None, False, None))))
+                transitions.append((here, DELIVER_ERASED, action, admit((Y, x_d, nxt_f, None, None, False, None))))
             elif (nxt_d := d_next.get((x_d, action))) is not None:
-                transitions.append((here, WY1, action, admit((Y, nxt_d, nxt_f, None, None, False, None))))
+                transitions.append((here, DELIVER, action, admit((Y, nxt_d, nxt_f, None, None, False, None))))
     return Tpo(name, det_f.events, states, transitions, 0)
 
 
@@ -204,9 +225,9 @@ def check_complete(t: Tpo, g: Automaton, depth: int) -> bool:
                     continue
                 seen_z.add(here)
                 for cls, _, nxt in moves[here]:
-                    if cls == ZZ:
+                    if cls == INSERT:
                         frontier.append(nxt)
-                    elif cls in (ZW1, ZW2):
+                    elif cls in (STOP, ERASE):
                         targets.update(dst for _, _, dst in moves[nxt])
             segment[(pos, label)] = targets
 
@@ -232,12 +253,15 @@ def constrain_erasures(t: Tpo, max_erasures: int) -> Tpo:
     """Annotate states with the running count of consecutive erasures and drop
     the decisions that would exceed ``max_erasures``.
 
-    Insertion resets the count; a stop decision leaves it unchanged (passing a
+    Each move changes the count as ``MOVES`` says: insertion resets it,
+    erasure adds one and a stop decision leaves it unchanged (passing a
     genuine event through does not license further erasures).  Erasing at
     count ``max_erasures`` is not admissible, so no state with count
     ``max_erasures + 1`` is ever created.  States are listed breadth first
     from the initial one.
     """
+    if max_erasures < 0:
+        raise ValueError("max_erasures must be nonnegative")
     name = f"{t.name}|k={max_erasures}"
     if t.initial is None:
         return Tpo(name, t.events, [], [], None)
@@ -258,15 +282,8 @@ def constrain_erasures(t: Tpo, max_erasures: int) -> Tpo:
     admit((t.initial, 0))
     for here, (base, count) in enumerate(annotated):
         for cls, label, dst in moves[base]:
-            if cls == ZZ:
-                nxt = 0
-            elif cls == ZW2:
-                if count >= max_erasures:
-                    continue
-                nxt = count + 1
-            else:
-                nxt = count
-            transitions.append((here, cls, label, admit((dst, nxt))))
+            if (nxt := run_after(cls, count)) <= max_erasures:
+                transitions.append((here, cls, label, admit((dst, nxt))))
     # The count is a state's last field.
     states = [t.states[base][:-1] + (count,) for base, count in annotated]
     return Tpo(name, t.events, states, transitions, 0)
@@ -304,7 +321,7 @@ def prune_to_aes(t: Tpo, max_erasures: int) -> Tpo:
         doomed |= {
             pos
             for pos in coaccessible
-            if is_y[pos] and any(cls == YZ and dst in doomed for cls, dst in outgoing[pos])
+            if is_y[pos] and any(cls == SYSTEM and dst in doomed for cls, dst in outgoing[pos])
         }
         if not doomed:
             break

@@ -10,8 +10,9 @@ is deterministic by construction.
 gives them, reading each state's fields by position; ``transform_monolithic``
 is its one-component case.
 
-``MOVES`` declares each decoration kind once: the TPO transition class it
-encodes, how its name is spelled, its controllability and its role in a step.
+A decorated event's ``kind`` is the TPO transition class of its move; how its
+name is spelled and whether it is controllable are read from ``tpo.MOVES``,
+the one table of the six moves.
 
 The encoding rejects a system event name with an ``@`` or an ``ins:``,
 ``erz:``, ``out:`` or ``drop:`` prefix, so names and decorations correspond one
@@ -28,7 +29,7 @@ with a single component, where neither addition applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .automata import (
     EPSILON,
@@ -39,37 +40,13 @@ from .automata import (
     Transition,
     erasure_symbol,
 )
-from .tpo import Tpo, Y, YZ, Z, ZW1, ZW2, ZZ, WY1, WY2, render_names
+from .tpo import (
+    ARRIVAL, DECISION, DELIVER, DELIVER_ERASED, DELIVERY, ERASE, INSERT, MOVES, STOP, SYSTEM, Tpo, Y, Z,
+    render_names,
+)
 
-SYSTEM = "system"
-INSERT = "insert"
-STOP = "stop"
-ERASE = "erase"
-DELIVER = "deliver"
-DELIVER_ERASED = "deliver-erased"
-
-ARRIVAL, DECISION, DELIVERY = "arrival", "decision", "delivery"
-
-
-class Move(NamedTuple):
-    cls: str  # the TPO transition class the move encodes
-    prefix: str  # how its decorated name starts
-    controllable: bool
-    role: str  # in a step: ARRIVAL, DECISION or DELIVERY
-
-
-# The six moves of the edit game, by decoration kind.  A system event is spelled
-# by its own name, any other move as prefix, base (a stop has none), "@" and
-# context.
-MOVES = {
-    SYSTEM: Move(YZ, "", False, ARRIVAL),
-    INSERT: Move(ZZ, "ins:", True, DECISION),
-    STOP: Move(ZW1, "stop", True, DECISION),
-    ERASE: Move(ZW2, "erz:", True, DECISION),
-    DELIVER: Move(WY1, "out:", False, DELIVERY),
-    DELIVER_ERASED: Move(WY2, "drop:", False, DELIVERY),
-}
-_KIND_OF_CLASS = {move.cls: kind for kind, move in MOVES.items()}
+# A system event is spelled by its own name, any other move as prefix, base
+# (a stop has none), "@" and context.
 _KIND_OF_PREFIX = {move.prefix: kind for kind, move in MOVES.items() if move.role != ARRIVAL}
 
 
@@ -129,7 +106,7 @@ def run_label(d: DecoratedEvent) -> tuple[str, str]:
     runs: the label is the decoration's base, except that a stop has none and
     an erasure shows its erasure symbol."""
     label = EPSILON if d.kind == STOP else erasure_symbol(d.base) if d.kind == ERASE else d.base
-    return (MOVES[d.kind].cls, label)
+    return (d.kind, label)
 
 
 @dataclass(frozen=True)
@@ -154,11 +131,10 @@ def decoration_table(components: Iterable[TransformedAutomaton]) -> dict[str, De
 def _decorate(cls: str, label: str, pending: str | None) -> DecoratedEvent:
     """A decision's context is the pending event, a delivery's its own label;
     an erasure's base is the pending event it erases."""
-    kind = _KIND_OF_CLASS[cls]
-    role = MOVES[kind].role
-    base = EPSILON if kind == STOP else pending if kind == ERASE else label
+    role = MOVES[cls].role
+    base = EPSILON if cls == STOP else pending if cls == ERASE else label
     context = pending if role == DECISION else label if role == DELIVERY else None
-    return DecoratedEvent(kind=kind, base=base, context=context)
+    return DecoratedEvent(kind=cls, base=base, context=context)
 
 
 def transform_monolithic(t: Tpo, name: str | None = None) -> TransformedAutomaton:

@@ -26,7 +26,7 @@ from opacedit import (
     transform_monolithic,
 )
 from opacedit.synthesis import ModularEditStructure, encode_components
-from opacedit.tpo import W, WY2, Y, YZ, Z, ZW2, Tpo, render_names
+from opacedit.tpo import DELIVER_ERASED, ERASE, SYSTEM, W, Y, Z, Tpo, render_names
 from opacedit.transform import TransformedAutomaton
 
 # --- reference ------------------------------------------------------------
@@ -238,7 +238,11 @@ def test_writer_matches_reference_on_any_names(names, flags):
         transitions=[
             tr
             for i, n in enumerate(names)
-            for tr in ((i, YZ, n, m + i), (m + i, ZW2, n, 2 * m + i), (2 * m + i, WY2, n, m - 1 - i))
+            for tr in (
+                (i, SYSTEM, n, m + i),
+                (m + i, ERASE, n, 2 * m + i),
+                (2 * m + i, DELIVER_ERASED, n, m - 1 - i),
+            )
         ],
         initial=0 if flags[0] else None,
     )

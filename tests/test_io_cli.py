@@ -17,6 +17,7 @@ from opacedit import (
     State,
     RandomSpec,
     build_largest_tpo,
+    demo_composed,
     demo_g1,
     demo_g2,
     desired_observer,
@@ -757,6 +758,42 @@ def test_tpo_document_cites_states_by_rendered_name(mono_tpo):
     assert doc["initial"] == state_name(*mono_tpo.states[mono_tpo.initial])
     assert doc["transitions"][0][0] == state_name(*mono_tpo.states[mono_tpo.transitions[0][0]])
     assert parse_document(json.dumps(doc)).initial == mono_tpo.initial
+
+
+def _rendered(st):
+    return state_name(
+        st["kind"], st["x_d"], st["x_f"], st.get("event"), st.get("action"), st.get("erased", False), st.get("count")
+    )
+
+
+def _erase_into_count_0(doc):
+    """Point the first ``zw2`` edge at a count-0 copy of its erased W state."""
+    index = next(i for i, tr in enumerate(doc["transitions"]) if tr[1] == "zw2")
+    target = next(st for st in doc["states"] if _rendered(st) == doc["transitions"][index][3])
+    copy = dict(target, count=0)
+    doc["states"].append(copy)
+    doc["transitions"][index][3] = _rendered(copy)
+    return f"$.transitions[{index}]: class 'zw2' does not take count 0 to 0"
+
+
+def _drop_last_count(doc):
+    """Uncount the last state, and cite it by its uncounted name."""
+    index = len(doc["states"]) - 1
+    old = _rendered(doc["states"][index])
+    del doc["states"][index]["count"]
+    new = _rendered(doc["states"][index])
+    doc["transitions"] = [[new if name == old else name for name in tr] for tr in doc["transitions"]]
+    return f"$.states[{index}].count: states mix counted and uncounted ones"
+
+
+@pytest.mark.parametrize("edit", [_erase_into_count_0, _drop_last_count], ids=["zw2-count", "mixed-counts"])
+def test_cli_export_dot_rejects_counts_off_the_erasure_rule(tmp_path, edit):
+    doc = json.loads(serialize_document(prune_to_aes(largest_tpo(demo_composed()), 1)))
+    where = edit(doc)
+    path = tmp_path / "tpo.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    line = _single_error_line(runner().invoke(main, ["export-dot", str(path)]))
+    assert where in line
 
 
 def _structure_file(tmp_path, edit):

@@ -3,7 +3,8 @@
 import re
 from pathlib import Path
 
-from opacedit.transform import INSERT, MOVES, DecoratedEvent
+from opacedit.tpo import INSERT, MOVES
+from opacedit.transform import DecoratedEvent
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,9 +23,9 @@ def test_readme_python_block_runs(capsys):
 def test_readme_decision_events_table_matches_the_moves():
     # the table's events: ``c`` is pending, ``b`` the inserted event
     section = README.read_text(encoding="utf-8").split("## Decision events", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `([^`]+)` \| [^|]+ \| (yes|no) \|$", section, re.M)
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \| [^|]+ \| (yes|no) \|$", section, re.M)
     expected = []
     for kind in MOVES:
         dec = DecoratedEvent(kind=kind, base="b" if kind == INSERT else "c", context="c")
-        expected.append((dec.name, "yes" if dec.controllable else "no"))
+        expected.append((dec.name, kind, "yes" if dec.controllable else "no"))
     assert rows == expected

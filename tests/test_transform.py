@@ -54,7 +54,7 @@ def test_decorated_name_round_trip(structure):
 def test_decoration_controllability(structure):
     for comp in structure.components:
         for dec in comp.decorations.values():
-            if dec.kind in ("insert", "stop", "erase"):
+            if dec.kind in (INSERT, STOP, ERASE):
                 assert dec.controllable
             else:
                 assert not dec.controllable
@@ -68,7 +68,7 @@ def test_parse_decorated_rejects_garbage():
     with pytest.raises(ValueError):
         parse_decorated("frob:a@b")  # unknown prefix with decoration syntax
     # plain names without decoration syntax stay system events
-    assert parse_decorated("frobnicate").kind == "system"
+    assert parse_decorated("frobnicate").kind == SYSTEM
 
 
 def test_unknown_decoration_kind_has_no_name():
