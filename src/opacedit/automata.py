@@ -34,7 +34,7 @@ def erasure_symbol(event: str) -> str:
     return f"{event}→{EPSILON}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """An alphabet symbol with its observability and controllability flags."""
 
@@ -43,7 +43,7 @@ class Event:
     controllable: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     name: str
     initial: bool = False
@@ -59,8 +59,13 @@ class Automaton:
     """A finite automaton ``(Q, Sigma, ->, Q0)`` with marked and secret subsets.
 
     ``transitions`` holds ``(source, label, target)`` triples where ``label``
-    is either a declared event name or ``tau``.  The structure is immutable;
-    derived lookup tables are cached on first use.
+    is either a declared event name or ``tau``.  The structure is immutable.
+    Derived values are cached on first use and live as long as the automaton:
+    ``event_map``, ``state_map``, the initial, marked and secret states,
+    ``is_deterministic`` (only the answer), and the tables behind
+    ``successors`` and ``outgoing``.  ``synchronous_product`` builds its own
+    successor tables and drops them on return, so the parts of a product
+    cache no table.
     """
 
     name: str
@@ -144,8 +149,16 @@ class Automaton:
         """Single initial state, no tau moves, at most one target per (state, event)."""
         if len(self.initial_states) > 1:
             return False
-        # One target per (state, label) exactly when no two transitions share a key.
-        return len(self._succ) == len(self.transitions) and TAU not in {label for _, label in self._succ}
+        # One target per (state, label) exactly when each label has as many
+        # sources as transitions.  The sets are dropped once counted, and
+        # only the answer is cached.
+        sources: dict[str, set[str]] = {}
+        for src, label, _ in self.transitions:
+            seen = sources.get(label)
+            if seen is None:
+                seen = sources[label] = set()
+            seen.add(src)
+        return TAU not in sources and sum(map(len, sources.values())) == len(self.transitions)
 
     def reachable_states(self) -> frozenset[str]:
         seen = set(self.initial_states)
@@ -222,14 +235,17 @@ def synchronous_product(
     probes the events its owners enable from their local states, in sorted
     name order, before the ``tau`` moves of each part in part order.  An event
     its owner cannot take could never fire, so states and transitions come out
-    in the same order as probing every event would give them.
+    in the same order as probing every event would give them.  The successor
+    tables the probes read are built here and dropped on return, so no part
+    keeps one.
     """
     events = _merge_events(parts)
 
     # Per event (by position in ``events``): its name and the parts that
     # declare it.  Per part: for each local state, the events it owns and has
-    # a move on, as a bit mask over positions (bit k is ``events[k]``), and
-    # whether it has any ``tau`` move at all.
+    # a move on, as a bit mask over positions (bit k is ``events[k]``), its
+    # targets per (local state, label) in transition order, and whether it has
+    # any ``tau`` move at all.
     names = [ev.name for ev in events]
     position = {label: k for k, label in enumerate(names)}
     participants: list[list[int]] = [[] for _ in events]
@@ -237,17 +253,23 @@ def synchronous_product(
         for ev in part.events:
             participants[position[ev.name]].append(i)
     enabled: list[dict[str, int]] = []
+    succ: list[dict[tuple[str, str], tuple[str, ...]]] = []
     silent: list[int] = []
     for i, part in enumerate(parts):
         owned = {names[k]: 1 << k for k, who in enumerate(participants) if who[0] == i}
         masks: dict[str, int] = {}
+        table: dict[tuple[str, str], tuple[str, ...]] = {}
         has_tau = False
-        for src, label, _ in part.transitions:
+        for src, label, dst in part.transitions:
             if label in owned:
                 masks[src] = masks.get(src, 0) | owned[label]
             elif label == TAU:
                 has_tau = True
+            key = (src, label)
+            known = table.get(key)
+            table[key] = (dst,) if known is None else known + (dst,)
         enabled.append(masks)
+        succ.append(table)
         if has_tau:
             silent.append(i)
 
@@ -280,7 +302,7 @@ def synchronous_product(
             targets = list(here)
             branches: list[tuple[int, tuple[str, ...]]] = []
             for i in participants[k]:
-                nxt = parts[i].successors(here[i], label)
+                nxt = succ[i].get((here[i], label), ())
                 if not nxt:
                     break
                 if len(nxt) == 1:
@@ -296,7 +318,7 @@ def synchronous_product(
                         targets[i] = local
                     transitions.append((src, label, admit(tuple(targets))))
         for i in silent:
-            for local in parts[i].successors(here[i], TAU):
+            for local in succ[i].get((here[i], TAU), ()):
                 transitions.append((src, TAU, admit(here[:i] + (local,) + here[i + 1 :])))
 
     initial = [frozenset(part.initial_states) for part in parts]

@@ -12,6 +12,12 @@ transitions but never under events.  Parsing and serialization are exact
 inverses: field order, list order and flags survive a round trip.  Other
 document kinds carry a "kind" field; all but "tpo" embed automaton documents.
 
+A loaded document holds one object per name: every transition row of an
+automaton cites the name objects of its declared states and events, the
+``origins`` of a component are keyed by its state names, and a
+``tuple_map`` entry is keyed by the plant's state name and cites the state
+names of the components and the constraint.
+
 Documents are written row by row, one f-string per event, state, transition,
 ``tuple_map`` entry or origin, into the exact bytes of
 ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``: with an indent,
@@ -130,20 +136,22 @@ def automaton_from_dict(doc: Any, path: str = "$") -> Automaton:
             states.append(State(state_name, initial is True, marked is True, secret is True))
         else:
             states.append(_state_from_dict(entry, f"{path}.states[{i}]"))
-    # Unknown states and undeclared events are left to ``Automaton``, whose
-    # error names ``transitions[i]``.
+    # A row cites the declared state and event name objects, so the automaton
+    # holds each name once.
+    names = {st.name: st.name for st in states}
+    labels = {ev.name: ev.name for ev in events}
+    labels[TAU] = TAU
     transitions = []
     for i, entry in enumerate(_expect_list(doc.get("transitions", []), f"{path}.transitions")):
-        if (
-            type(entry) is list
-            and len(entry) == 3
-            and type(entry[0]) is str
-            and type(entry[1]) is str
-            and type(entry[2]) is str
-        ):
-            transitions.append(tuple(entry))
-        else:
-            transitions.append(_string_row(entry, f"{path}.transitions[{i}]", ("source", "event", "target")))
+        if type(entry) is list and len(entry) == 3:
+            src, event, dst = entry
+            if type(src) is str and type(event) is str and type(dst) is str:
+                try:
+                    transitions.append((names[src], labels[event], names[dst]))
+                except KeyError:  # left to ``Automaton``, whose error names ``transitions[i]``
+                    transitions.append((src, event, dst))
+                continue
+        transitions.append(_string_row(entry, f"{path}.transitions[{i}]", ("source", "event", "target")))
     try:
         return Automaton(
             name=name,
@@ -295,11 +303,13 @@ def transformed_from_dict(doc: Any, path: str = "$") -> TransformedAutomaton:
     doc = _expect_object(doc, path)
     automaton = automaton_from_dict(doc.get("automaton"), f"{path}.automaton")
     origins_doc = _expect_object(doc.get("origins", {}), f"{path}.origins")
+    # Keyed by the automaton's own state name objects.
+    state = {st.name: st.name for st in automaton.states}.get
     origins = {}
     for key, value in origins_doc.items():
         if value not in KINDS:
             _fail(f"{path}.origins.{key}", f"expected one of {', '.join(KINDS)}, got {value!r}")
-        origins[key] = value
+        origins[state(key, key)] = value
     for st in automaton.states:
         if st.name not in origins:
             _fail(f"{path}.origins", f"missing origin for state {st.name!r}")
@@ -326,22 +336,28 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
     constraint = automaton_from_dict(doc.get("constraint"), f"{path}.constraint")
     plant = automaton_from_dict(doc.get("plant"), f"{path}.plant")
     tuple_map_doc = _expect_object(doc.get("tuple_map", {}), f"{path}.tuple_map")
-    # Each component's origins hold exactly its state names, so they serve as
-    # its state set.  Entry paths are only formatted for an error, which keeps
-    # the check cheaper than formatting one per part.
-    state_sets = [comp.origins for comp in components] + [{st.name for st in constraint.states}]
+    # Per part, each state name keyed by itself: an entry is keyed by the
+    # plant's name object and cites the parts' name objects.  A part that
+    # names no state of its automaton fails the lookup.  Entry paths are only
+    # formatted for an error, which keeps the check cheaper than formatting
+    # one per part.
+    part_names = [{name: name for name in comp.origins} for comp in components]
+    part_names.append({st.name: st.name for st in constraint.states})
+    plant_name = {st.name: st.name for st in plant.states}.get
     tuple_map = {}
     for key, parts in tuple_map_doc.items():
-        if not (
-            isinstance(parts, list)
-            and len(parts) == len(state_sets)
-            and all(isinstance(part, str) and part in states for part, states in zip(parts, state_sets))
-        ):
+        local = None
+        if isinstance(parts, list) and len(parts) == len(part_names):
+            try:
+                local = tuple(map(getitem, part_names, parts))
+            except (KeyError, TypeError):  # TypeError: an array or object is no name
+                pass
+        if local is None:
             _fail(
                 f"{path}.tuple_map.{key}",
                 "expected one state of each component and of the constraint",
             )
-        tuple_map[key] = tuple(parts)
+        tuple_map[plant_name(key, key)] = local
     supervisor = automaton_from_dict(doc.get("supervisor"), f"{path}.supervisor")
     if supervisor.states and len(supervisor.initial_states) != 1:
         _fail(
@@ -356,8 +372,9 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
         _fail(f"{path}.supervisor.transitions", "expected a deterministic supervisor")
     origins = [comp.origins for comp in components]
     all_y = (Y,) * len(components)
+    plant_states = {st.name: st for st in plant.states}
     for i, st in enumerate(supervisor.states):
-        if plant.state_map.get(st.name) != st:
+        if plant_states.get(st.name) != st:
             _fail(f"{path}.supervisor.states[{i}]", f"state {st.name!r} is not a plant state with its flags")
         if st.marked != (tuple(map(getitem, origins, tuple_map[st.name])) == all_y):
             _fail(f"{path}.supervisor.states[{i}]", "expected marked exactly when every component is at Y")

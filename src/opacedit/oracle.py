@@ -428,17 +428,25 @@ _SUITE_COUNTS = {
 }
 
 
-def run_suite(name: str, seed: int, count: int | None = None) -> dict:
-    """Run one named randomized suite; the result dictionary depends only on
-    (name, seed, count), so reruns are byte-for-byte reproducible."""
+def suite_specs(name: str, seed: int, count: int | None = None) -> list[RandomSpec]:
+    """The spec of each instance that ``run_suite(name, seed, count)``
+    checks, in order."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     count = _SUITE_COUNTS[name] if count is None else count
+    max_states = 4 if name in ("modular-inclusion", "private-safety") else 6
     rng = random.Random(seed)
-    instance_seeds = [rng.randrange(2**32) for _ in range(count)]
+    return [
+        RandomSpec(seed=rng.randrange(2**32), max_states=max_states, alphabet_size=3) for _ in range(count)
+    ]
+
+
+def run_suite(name: str, seed: int, count: int | None = None) -> dict:
+    """Run one named randomized suite; the result dictionary depends only on
+    (name, seed, count), so reruns are byte-for-byte reproducible."""
+    specs = suite_specs(name, seed, count)
     failures: list[dict] = []
-    for i, instance in enumerate(instance_seeds):
-        spec = RandomSpec(seed=instance, max_states=6, alphabet_size=3)
+    for i, spec in enumerate(specs):
         if name == "observer-sync":
             ok = check_observer_sync(*random_pair(spec))
         elif name == "desired-observer-sync":
@@ -448,28 +456,26 @@ def run_suite(name: str, seed: int, count: int | None = None) -> dict:
         elif name == "supervisor-aes":
             ok = check_supervisor_equals_aes(random_system(spec), max_erasures=i % 3)
         elif name == "modular-inclusion":
-            small = RandomSpec(seed=instance, max_states=4, alphabet_size=3)
-            ok, trace = check_modular_inclusion(list(random_pair(small)), depth=12)
+            ok, trace = check_modular_inclusion(list(random_pair(spec)), depth=12)
             if not ok:
-                failures.append({"index": i, "seed": instance, "trace": list(trace)})
+                failures.append({"index": i, "seed": spec.seed, "trace": list(trace)})
                 continue
         else:
-            small = RandomSpec(seed=instance, max_states=4, alphabet_size=3)
-            systems = list(random_pair(small))
+            systems = list(random_pair(spec))
             m = synthesize_modular_edit_structure(systems, max_erasures=1)
             report = check_private_safety(m, systems, depth=5)
             ok = not report.violations
             if not ok:
                 failures.append(
-                    {"index": i, "seed": instance, "violations": list(report.violations)}
+                    {"index": i, "seed": spec.seed, "violations": list(report.violations)}
                 )
                 continue
         if not ok:
-            failures.append({"index": i, "seed": instance})
+            failures.append({"index": i, "seed": spec.seed})
     return {
         "suite": name,
         "seed": seed,
-        "count": count,
-        "passed": count - len(failures),
+        "count": len(specs),
+        "passed": len(specs) - len(failures),
         "failures": failures,
     }

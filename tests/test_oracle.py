@@ -34,6 +34,7 @@ from opacedit import (
     synthesize_modular_edit_structure,
     transform_monolithic,
 )
+from opacedit.abstraction import abstract_component
 from opacedit.oracle import _aes_canonical, _supervisor_canonical, tpo_bisimilar
 from opacedit.tpo import W
 from opacedit.transform import decoration_table
@@ -293,3 +294,38 @@ def test_run_suite_reproducible():
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suite("nonexistent", seed=0)
+
+
+# How many instances of each suite at the CI seeds are not trivially true: a
+# non-empty supervisor to replay, a non-empty AES to compare, no empty desired
+# observer to make the inclusion vacuous.  A generator or spec change that
+# lowers a count makes the suite check less.
+
+
+@pytest.mark.parametrize("seed, floor", [(0, 9), (1, 5), (2, 8)])
+def test_private_safety_suite_checks_nonempty_supervisors(seed, floor):
+    specs = oracle.suite_specs("private-safety", seed)
+    structures = [
+        synthesize_modular_edit_structure(list(random_pair(spec)), max_erasures=1) for spec in specs
+    ]
+    assert len(specs) == 10
+    assert sum(not m.is_empty() for m in structures) >= floor
+
+
+@pytest.mark.parametrize("seed, floor", [(0, 15), (1, 22), (2, 21)])
+def test_supervisor_aes_suite_checks_nonempty_aes(seed, floor):
+    specs = oracle.suite_specs("supervisor-aes", seed)
+    # ``run_suite`` bounds instance i by i % 3 erasures.
+    aes = [prune_to_aes(largest_tpo(random_system(spec)), i % 3) for i, spec in enumerate(specs)]
+    assert len(specs) == 25
+    assert sum(t.initial is not None for t in aes) >= floor
+
+
+@pytest.mark.parametrize("seed, floor", [(0, 9), (1, 6), (2, 9)])
+def test_modular_inclusion_suite_checks_nonvacuous_instances(seed, floor):
+    specs = oracle.suite_specs("modular-inclusion", seed)
+    observed = [
+        not any(abstract_component(g).h_obd.is_empty() for g in random_pair(spec)) for spec in specs
+    ]
+    assert len(specs) == 10
+    assert sum(observed) >= floor
