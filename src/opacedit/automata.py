@@ -63,9 +63,14 @@ class Automaton:
     Derived values are cached on first use and live as long as the automaton:
     ``event_map``, ``state_map``, the initial, marked and secret states,
     ``is_deterministic`` (only the answer), and the tables behind
-    ``successors`` and ``outgoing``.  ``synchronous_product`` builds its own
-    successor tables and drops them on return, so the parts of a product
-    cache no table.
+    ``successors`` (``_succ``) and ``outgoing`` (``_out``).  Those two tables
+    are cached only by analyses: ``reachable_states`` and ``trim_reachable``,
+    ``language_upto``, ``deterministic_isomorphic``, the walks of
+    ``estimation`` and ``abstraction``, and the checks in ``oracle``.  The
+    synthesis back end caches neither: ``synchronous_product`` and
+    ``synthesis.supremal_controllable_nonblocking`` build their own tables
+    and drop them on return, so the parts of a product, the plant and the
+    supervisor keep none.
     """
 
     name: str
@@ -226,52 +231,65 @@ def synchronous_product(
     An event moves every part that declares it in lock step (a nondeterministic
     part branches into each combination of successors); events one part
     declares, and each part's ``tau`` moves, interleave.  Every combination of
-    initial states is a start state.  A product state is initial or marked iff
-    every local state is and secret iff some local state is; it is named
-    ``state_name(local_states)``, and the returned map takes each name back to
-    its tuple of local states.
+    initial states is a start tuple.  A product state is initial iff it was
+    admitted as a start tuple, marked iff every local state is and secret iff
+    some local state is; it is named ``state_name(local_states)``, and the
+    returned map takes each name back to its tuple of local states.
 
-    Each event is owned by the first part that declares it, and a state only
-    probes the events its owners enable from their local states, in sorted
-    name order, before the ``tau`` moves of each part in part order.  An event
-    its owner cannot take could never fire, so states and transitions come out
-    in the same order as probing every event would give them.  The successor
-    tables the probes read are built here and dropped on return, so no part
-    keeps one.
+    A state's candidate events are those every participant can take: per part,
+    the events it enables at its local state and the events it does not
+    declare, intersected over the parts.  Every candidate fires, so no probe
+    fails.  Candidates are taken in sorted name order, before the ``tau``
+    moves of each part in part order, so states and transitions come out in
+    the order that probing every event would give them.  The tables the moves
+    read are built here, a part's moves at a local state when a product state
+    first reaches it, and dropped on return, so no part keeps one.
     """
     events = _merge_events(parts)
 
-    # Per event (by position in ``events``): its name and the parts that
-    # declare it.  Per part: for each local state, the events it owns and has
-    # a move on, as a bit mask over positions (bit k is ``events[k]``), its
-    # targets per (local state, label) in transition order, and whether it has
-    # any ``tau`` move at all.
-    names = [ev.name for ev in events]
-    position = {label: k for k, label in enumerate(names)}
-    participants: list[list[int]] = [[] for _ in events]
+    # Each part's ``tau`` moves count as one more event that only that part
+    # declares, placed after the named events in part order.  Per event (by
+    # position): its label and the parts that declare it.  Per part: the bit
+    # of each label it moves on (bit k is event k), the mask of the events it
+    # does not declare, and its transitions grouped by source.
+    labels = [ev.name for ev in events] + [TAU] * len(parts)
+    position = {ev.name: k for k, ev in enumerate(events)}
+    everything = (1 << len(labels)) - 1
+    participants: list[list[int]] = [[] for _ in events] + [[i] for i in range(len(parts))]
+    bits: list[dict[str, int]] = []
+    undeclared: list[int] = []
+    outgoing: list[dict[str, list[Transition]]] = []
     for i, part in enumerate(parts):
+        bit = {TAU: 1 << (len(events) + i)}
         for ev in part.events:
             participants[position[ev.name]].append(i)
-    enabled: list[dict[str, int]] = []
-    succ: list[dict[tuple[str, str], tuple[str, ...]]] = []
-    silent: list[int] = []
-    for i, part in enumerate(parts):
-        owned = {names[k]: 1 << k for k, who in enumerate(participants) if who[0] == i}
-        masks: dict[str, int] = {}
-        table: dict[tuple[str, str], tuple[str, ...]] = {}
-        has_tau = False
-        for src, label, dst in part.transitions:
-            if label in owned:
-                masks[src] = masks.get(src, 0) | owned[label]
-            elif label == TAU:
-                has_tau = True
-            key = (src, label)
-            known = table.get(key)
-            table[key] = (dst,) if known is None else known + (dst,)
-        enabled.append(masks)
-        succ.append(table)
-        if has_tau:
-            silent.append(i)
+            bit[ev.name] = 1 << position[ev.name]
+        bits.append(bit)
+        undeclared.append(everything ^ sum(bit.values()))
+        out: dict[str, list[Transition]] = {}
+        for move in part.transitions:
+            row = out.get(move[0])
+            if row is None:
+                out[move[0]] = [move]
+            else:
+                row.append(move)
+        outgoing.append(out)
+
+    # Per part, for each local state some product state has reached: the mask
+    # of the events the part can take there (those it enables and those it
+    # does not declare), and its targets per label in transition order.
+    reached: list[dict[str, tuple[int, dict[str, tuple[str, ...]]]]] = [{} for _ in parts]
+
+    def moves_at(i: int, local: str) -> tuple[int, dict[str, tuple[str, ...]]]:
+        bit = bits[i]
+        mask = undeclared[i]
+        targets: dict[str, tuple[str, ...]] = {}
+        for _, label, dst in outgoing[i].get(local, ()):
+            mask |= bit[label]
+            known = targets.get(label)
+            targets[label] = (dst,) if known is None else known + (dst,)
+        reached[i][local] = found = (mask, targets)
+        return found
 
     tuple_map: dict[str, tuple[str, ...]] = {}
     index: dict[tuple[str, ...], str] = {}
@@ -288,50 +306,42 @@ def synchronous_product(
 
     for start in product(*(part.initial_states for part in parts)):
         admit(start)
+    starts = len(tuple_map)
     while queue:
         here = queue.popleft()
         src = index[here]
-        candidates = 0
+        candidates = everything
+        moves = []
         for i, local in enumerate(here):
-            candidates |= enabled[i].get(local, 0)
+            mask, targets = reached[i].get(local) or moves_at(i, local)
+            candidates &= mask
+            moves.append(targets)
         while candidates:
             lowest = candidates & -candidates
             candidates ^= lowest
             k = lowest.bit_length() - 1
-            label = names[k]
-            targets = list(here)
+            label = labels[k]
+            step = list(here)
             branches: list[tuple[int, tuple[str, ...]]] = []
             for i in participants[k]:
-                nxt = succ[i].get((here[i], label), ())
-                if not nxt:
-                    break
+                nxt = moves[i][label]
                 if len(nxt) == 1:
-                    targets[i] = nxt[0]
+                    step[i] = nxt[0]
                 else:
                     branches.append((i, nxt))
-            else:
-                if not branches:
-                    transitions.append((src, label, admit(tuple(targets))))
-                    continue
-                for choice in product(*(nxt for _, nxt in branches)):
-                    for (i, _), local in zip(branches, choice):
-                        targets[i] = local
-                    transitions.append((src, label, admit(tuple(targets))))
-        for i in silent:
-            for local in succ[i].get((here[i], TAU), ()):
-                transitions.append((src, TAU, admit(here[:i] + (local,) + here[i + 1 :])))
+            if not branches:
+                transitions.append((src, label, admit(tuple(step))))
+                continue
+            for choice in product(*(nxt for _, nxt in branches)):
+                for (i, _), local in zip(branches, choice):
+                    step[i] = local
+                transitions.append((src, label, admit(tuple(step))))
 
-    initial = [frozenset(part.initial_states) for part in parts]
     marked = [part.marked_states for part in parts]
     secret = [part.secret_states for part in parts]
     states = tuple(
-        State(
-            name=label,
-            initial=all(map(contains, initial, local)),
-            marked=all(map(contains, marked, local)),
-            secret=any(map(contains, secret, local)),
-        )
-        for label, local in tuple_map.items()
+        State(label, n < starts, all(map(contains, marked, local)), any(map(contains, secret, local)))
+        for n, (label, local) in enumerate(tuple_map.items())
     )
     automaton = Automaton(name=name, events=events, states=states, transitions=tuple(transitions))
     return automaton, tuple_map

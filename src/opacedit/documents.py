@@ -26,6 +26,7 @@ Documents are written row by row, one f-string per event, state, transition,
 
 from __future__ import annotations
 
+import gc
 import json
 from json.encoder import encode_basestring
 from operator import getitem
@@ -407,18 +408,28 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
 
 def parse_document(text: str) -> Automaton | Tpo | TransformedAutomaton | ModularEditStructure:
     """Parse any document, dispatching on its "kind" field; documents without
-    one are plain automata."""
-    doc = _load_json(text)
-    kind = _kind(doc)
-    if kind is None:
-        return automaton_from_dict(doc)
-    if kind == KIND_TPO:
-        return tpo_from_dict(doc)
-    if kind == KIND_TRANSFORMED:
-        return transformed_from_dict(doc)
-    if kind == KIND_STRUCTURE:
-        return structure_from_dict(doc)
-    raise DocumentError(f"$.kind: unknown document kind {kind!r}")
+    one are plain automata.
+
+    The reader builds acyclic data, so a cyclic collection during the build
+    frees nothing: the collector is paused while it runs and left as the
+    caller had it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc = _load_json(text)
+        kind = _kind(doc)
+        if kind is None:
+            return automaton_from_dict(doc)
+        if kind == KIND_TPO:
+            return tpo_from_dict(doc)
+        if kind == KIND_TRANSFORMED:
+            return transformed_from_dict(doc)
+        if kind == KIND_STRUCTURE:
+            return structure_from_dict(doc)
+        raise DocumentError(f"$.kind: unknown document kind {kind!r}")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # Writing.  Each function appends the rows of one value to ``out``; ``pad``

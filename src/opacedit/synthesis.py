@@ -70,7 +70,8 @@ def supremal_controllable_nonblocking(
     Successor and predecessor lists are built once per call, so each pass is
     linear in the plant.  Controllability pruning walks uncontrollable
     predecessors one layer at a time from the states just dropped; each layer
-    is logged as one ``removed N uncontrollable`` line.
+    is logged as one ``removed N uncontrollable`` line.  The first reachable
+    set comes from those lists too, so nothing is cached on ``plant``.
     """
     uncontrollable = {ev.name for ev in plant.events if not ev.controllable}
     succ: dict[str, list[str]] = {st.name: [] for st in plant.states}
@@ -98,7 +99,7 @@ def supremal_controllable_nonblocking(
         """States of ``inside`` with an uncontrollable move into ``dropped``."""
         return {src for dst in dropped for src in uncontrollable_pred[dst] if src in inside}
 
-    alive = set(plant.reachable_states())
+    alive = closure(plant.initial_states, succ, set(succ))
     iteration = 0
     while True:
         iteration += 1

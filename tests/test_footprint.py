@@ -1,6 +1,7 @@
 """What a structure holds in memory: one object per name once loaded, no
-successor tables left on the parts of the product, and a loaded structure
-no larger than the one synthesis returns."""
+successor tables left on the parts of the product, the plant or the
+supervisor, and a loaded structure no larger than the one synthesis returns.
+Parsing pauses the cyclic collector and leaves it as the caller had it."""
 
 import gc
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 
 from opacedit import (
     TAU,
+    DocumentError,
     RandomSpec,
     demo_pair,
     parse_document,
@@ -63,9 +65,24 @@ def test_a_loaded_structure_is_no_larger_than_a_synthesized_one():
     systems = list(random_pair(SEED9))
     m, synthesized = _retained(lambda: synthesize_modular_edit_structure(systems, max_erasures=1))
     assert (len(m.plant.states), len(m.supervisor.states)) == (443, 200)
-    # The product builds its successor tables and drops them.
-    for part in [comp.automaton for comp in m.components] + [m.constraint]:
+    # The product and the fixpoint build their successor tables and drop them.
+    for part in [comp.automaton for comp in m.components] + [m.constraint, m.plant, m.supervisor]:
         assert not {"_succ", "_out"} & vars(part).keys(), part.name
     text = serialize_document(m)
     _, loaded = _retained(lambda: parse_document(text))
     assert loaded <= 1.1 * synthesized, (loaded, synthesized)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_parsing_leaves_the_collector_as_it_was(enabled):
+    text = serialize_document(synthesize_modular_edit_structure(list(demo_pair()), max_erasures=1))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        parse_document(text)
+        assert gc.isenabled() is enabled
+        with pytest.raises(DocumentError):
+            parse_document(text.replace('"kind": "', '"kind": "bogus-', 1))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
