@@ -62,12 +62,12 @@ class Automaton:
     is either a declared event name or ``tau``.  The structure is immutable.
     Derived values are cached on first use and live as long as the automaton:
     ``event_map``, ``state_map``, the initial, marked and secret states,
-    ``is_deterministic`` (only the answer), and the tables behind
-    ``successors`` (``_succ``) and ``outgoing`` (``_out``).  Those two tables
-    are cached only by analyses: ``reachable_states`` and ``trim_reachable``,
-    ``language_upto``, ``deterministic_isomorphic``, the walks of
-    ``estimation`` and ``abstraction``, and the checks in ``oracle``.  The
-    synthesis back end caches neither: ``synchronous_product`` and
+    ``is_deterministic`` (only the answer), and the table behind
+    ``outgoing`` (``_out``).  That table is cached only by analyses:
+    ``reachable_states`` and ``trim_reachable``, ``language_upto``,
+    ``deterministic_isomorphic``, the walks of ``estimation`` and
+    ``abstraction``, and the checks in ``tpo`` and ``oracle``.  The
+    synthesis back end caches none: ``synchronous_product`` and
     ``synthesis.supremal_controllable_nonblocking`` build their own tables
     and drop them on return, so the parts of a product, the plant and the
     supervisor keep none.
@@ -128,23 +128,11 @@ class Automaton:
         return frozenset(st.name for st in self.states if st.secret)
 
     @cached_property
-    def _succ(self) -> Mapping[tuple[str, str], tuple[str, ...]]:
-        table: dict[tuple[str, str], tuple[str, ...]] = {}
-        for src, label, dst in self.transitions:
-            key = (src, label)
-            known = table.get(key)
-            table[key] = (dst,) if known is None else known + (dst,)
-        return table
-
-    @cached_property
     def _out(self) -> Mapping[str, tuple[tuple[str, str], ...]]:
         table: dict[str, list[tuple[str, str]]] = {st.name: [] for st in self.states}
         for src, label, dst in self.transitions:
             table[src].append((label, dst))
         return {key: tuple(val) for key, val in table.items()}
-
-    def successors(self, state: str, label: str) -> tuple[str, ...]:
-        return self._succ.get((state, label), ())
 
     def outgoing(self, state: str) -> tuple[tuple[str, str], ...]:
         return self._out.get(state, ())

@@ -66,7 +66,7 @@ def determinize(a: Automaton, name: str | None = None) -> Observer:
     Estimates are named canonically from their sorted members.  An observer
     state is flagged secret iff its estimate contains secret states only.
     """
-    observable = sorted(ev.name for ev in a.events if ev.observable)
+    observable = {ev.name for ev in a.events if ev.observable}
     events = tuple(ev for ev in sorted(a.events, key=lambda ev: ev.name) if ev.observable)
     secret = a.secret_states
 
@@ -90,11 +90,13 @@ def determinize(a: Automaton, name: str | None = None) -> Observer:
     while queue:
         members = queue.popleft()
         src = seen[members]
-        for event in observable:
-            stepped = {dst for member in members for dst in a.successors(member, event)}
-            if not stepped:
-                continue
-            closed = unobservable_reach(a, stepped)
+        stepped: dict[str, set[str]] = {}
+        for member in members:
+            for label, dst in a.outgoing(member):
+                if label in observable:
+                    stepped.setdefault(label, set()).add(dst)
+        for event in sorted(stepped):
+            closed = unobservable_reach(a, stepped[event])
             if closed not in seen:
                 admit(closed, initial=False)
                 queue.append(closed)

@@ -37,13 +37,12 @@ from .synthesis import (
     supremal_controllable_nonblocking,
     synthesize_modular_edit_structure,
 )
-from .tpo import Tpo, build_largest_tpo, largest_tpo, prune_to_aes
+from .tpo import Tpo, build_largest_tpo, largest_tpo, prune_to_aes, run_after
 from .transform import (
     DELIVER,
     DELIVER_ERASED,
     ERASE,
     INSERT,
-    STOP,
     SYSTEM,
     decoration_table,
     run_label,
@@ -230,17 +229,15 @@ def check_supervisor_equals_aes(g: Automaton, max_erasures: int) -> bool:
     return _supervisor_canonical(supervisor, encoded.decorations) == _aes_canonical(aes)
 
 
-def check_modular_inclusion(
-    systems: Sequence[Automaton], depth: int
-) -> tuple[bool, tuple[str, ...]]:
+def check_modular_inclusion(systems: Sequence[Automaton]) -> tuple[bool, tuple[str, ...]]:
     """Every trace of the modular product (no constraint attached) maps,
     decision class by decision class, into the monolithic largest TPO of the
     composed system.
 
-    Checked by joint breadth-first search over (product state, TPO state)
-    pairs up to ``depth`` transitions; returns the offending trace if any.
-    Vacuously true when some component has an empty desired observer, since
-    then no edit function exists at all.
+    Checked by one breadth-first search over (product state, TPO state) pairs
+    to a fixpoint; returns the shortest offending trace if any.  Vacuously
+    true when some component has an empty desired observer, since then no
+    edit function exists at all.
     """
     bundles, components = encode_components(systems)
     if any(bundle.h_obd.is_empty() for bundle in bundles):
@@ -254,11 +251,9 @@ def check_modular_inclusion(
         return True, ()
     start = (product.initial_states[0], mono.initial)
     seen = {start}
-    queue: deque[tuple[tuple[str, int], tuple[str, ...], int]] = deque([(start, (), 0)])
+    queue: deque[tuple[tuple[str, int], tuple[str, ...]]] = deque([(start, ())])
     while queue:
-        (p_state, t_state), trace, used = queue.popleft()
-        if used == depth:
-            continue
+        (p_state, t_state), trace = queue.popleft()
         for label, dst in product.outgoing(p_state):
             target = mono_edges[t_state].get(run_label(decorations[label]))
             if target is None:
@@ -266,12 +261,16 @@ def check_modular_inclusion(
             pair = (dst, target)
             if pair not in seen:
                 seen.add(pair)
-                queue.append((pair, trace + (label,), used + 1))
+                queue.append((pair, trace + (label,)))
     return True, ()
 
 
 @dataclass(frozen=True)
 class SafetyReport:
+    """What ``check_private_safety`` found: its sorted violations, whether the
+    structure was empty, and how many genuine strings, deliveries reached by
+    the decision walk and pass-through sessions it checked."""
+
     violations: tuple[str, ...]
     empty: bool
     strings_checked: int
@@ -288,6 +287,12 @@ def check_private_safety(
     session and through every decision chain the supervisor permits, verifying
     that the intruder's view stays inside the safe language and the erasure
     budget is never exceeded.
+
+    Within one genuine event the decision chains are walked once over keys
+    (supervisor state, safe-observer state or None once unsafe, run of
+    consecutive erasures, arrived), a finite space, so outputs that go round
+    insertion cycles are checked too; each key keeps the first emitted string
+    that reaches it as the witness the messages print.
     """
     if m.is_empty():
         return SafetyReport(
@@ -295,70 +300,55 @@ def check_private_safety(
         )
     composed = compose_all(systems)
     safe = desired_observer(determinize(composed)).automaton
-    safe_initial = safe.initial_states[0] if safe.initial_states else None
-
-    def safe_state(string: tuple[str, ...]) -> str | None:
-        here = safe_initial
-        for symbol in string:
-            if here is None:
-                return None
-            nxt = safe.successors(here, symbol)
-            here = nxt[0] if nxt else None
-        return here
-
+    safe_moves = {(src, label): dst for src, label, dst in safe.transitions}
     decorations = decoration_table(m.components)
     supervisor = m.supervisor
-    edges: dict[str, list[tuple[str, object, str]]] = {st.name: [] for st in supervisor.states}
+    edges: dict[str, list[tuple[object, str]]] = {st.name: [] for st in supervisor.states}
     for src, label, dst in supervisor.transitions:
-        edges[src].append((label, decorations[label], dst))
+        edges[src].append((decorations[label], dst))
+    # Any run past the budget is reported alike, so runs stop growing there.
+    over = m.max_erasures + 1
 
     genuine = sorted(language_upto(composed, depth), key=lambda s: (len(s), s))
     violations: list[str] = []
     chains = 0
-    start = supervisor.initial_states[0]
-    # Frontier per consumed prefix: (supervisor state, emitted, erasure count).
-    frontier: dict[tuple[str, ...], set[tuple[str, tuple[str, ...], int]]] = {
-        (): {(start, (), 0)}
+    safe_initial = safe.initial_states[0] if safe.initial_states else None
+    # Per consumed prefix: (supervisor state, safe state, run) -> emitted witness.
+    frontier: dict[tuple[str, ...], dict[tuple[str, str | None, int], tuple[str, ...]]] = {
+        (): {(supervisor.initial_states[0], safe_initial, 0): ()}
     }
     for string in genuine:
         if string == ():
             continue
-        prefix, symbol = string[:-1], string[-1]
-        sources = frontier.get(prefix, set())
-        results: set[tuple[str, tuple[str, ...], int]] = set()
-        for state, emitted, erased in sources:
-            stack = [(state, emitted, erased, frozenset({state}), False)]
-            while stack:
-                here, out, count, visited, moved = stack.pop()
-                for label, dec, dst in edges[here]:
-                    if dec.kind == SYSTEM and not moved:
-                        if dec.base == symbol:
-                            stack.append((dst, out, count, frozenset({dst}), True))
-                        continue
-                    if not moved:
-                        continue
-                    if dec.kind == INSERT:
-                        if dst in visited:
-                            continue
-                        stack.append((dst, out + (dec.base,), 0, visited | {dst}, True))
-                    elif dec.kind == STOP:
-                        stack.append((dst, out, count, frozenset({dst}), True))
-                    elif dec.kind == ERASE:
-                        stack.append((dst, out, count + 1, frozenset({dst}), True))
-                    elif dec.kind == DELIVER:
-                        chains += 1
-                        results.add((dst, out + (dec.base,), count))
-                    elif dec.kind == DELIVER_ERASED:
-                        chains += 1
-                        results.add((dst, out, count))
+        symbol = string[-1]
+        sources = frontier.get(string[:-1], {})
+        results: dict[tuple[str, str | None, int], tuple[str, ...]] = {}
+        reached = [(key + (False,), out) for key, out in sources.items()]
+        seen = {key for key, _ in reached}
+        for (here, view, run, arrived), out in reached:
+            for dec, dst in edges[here]:
+                # first the genuine event's arrival, then only the edit's moves
+                if (dec.kind == SYSTEM) == arrived or (not arrived and dec.base != symbol):
+                    continue
+                if dec.kind in (INSERT, DELIVER):
+                    nxt_out, nxt_view = out + (dec.base,), safe_moves.get((view, dec.base))
+                else:
+                    nxt_out, nxt_view = out, view
+                key = (dst, nxt_view, min(run_after(dec.kind, run), over))
+                if dec.kind in (DELIVER, DELIVER_ERASED):
+                    chains += 1
+                    results.setdefault(key, nxt_out)
+                elif (moved := key + (True,)) not in seen:
+                    seen.add(moved)
+                    reached.append((moved, nxt_out))
         if sources and not results:
             violations.append(f"no admissible decision chain after {'.'.join(string)}")
-        for state, emitted, erased in results:
-            if erased > m.max_erasures:
+        for (state, view, run), emitted in results.items():
+            if run > m.max_erasures:
                 violations.append(
                     f"erasure budget exceeded after {'.'.join(string)} at {state}"
                 )
-            if safe_state(emitted) is None:
+            if view is None:
                 shown = ".".join(emitted) if emitted else EPSILON
                 violations.append(
                     f"unsafe output {shown} after {'.'.join(string)} at {state}"
@@ -386,7 +376,10 @@ def check_private_safety(
                 break
         if stranded:
             continue
-        if safe_state(tuple(session.emitted)) is None:
+        view = safe_initial
+        for symbol in session.emitted:
+            view = safe_moves.get((view, symbol))
+        if view is None:
             shown = ".".join(session.emitted) if session.emitted else EPSILON
             violations.append(f"unsafe session output {shown} after {'.'.join(string)}")
         streak = 0
@@ -456,7 +449,7 @@ def run_suite(name: str, seed: int, count: int | None = None) -> dict:
         elif name == "supervisor-aes":
             ok = check_supervisor_equals_aes(random_system(spec), max_erasures=i % 3)
         elif name == "modular-inclusion":
-            ok, trace = check_modular_inclusion(list(random_pair(spec)), depth=12)
+            ok, trace = check_modular_inclusion(list(random_pair(spec)))
             if not ok:
                 failures.append({"index": i, "seed": spec.seed, "trace": list(trace)})
                 continue

@@ -16,7 +16,8 @@ Policies:
 * ``lexicographic``: always take the lexicographically smallest enabled
   decision, with an insertion budget per step.
 * ``random``: seeded uniform choice among enabled decisions with the same
-  insertion budget, falling back to ``lexicographic`` once exhausted.
+  insertion budget; once it is spent, among the enabled stops and erasures,
+  or the shortest insertion chain to one when none is enabled.
 
 Sessions of one structure share its runtime tables (``RuntimeTables``, built
 once per structure on first use): the decorations, the sorted edges of each

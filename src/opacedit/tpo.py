@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
-from .automata import EPSILON, Automaton, Event, InvalidAutomaton, erasure_symbol, language_upto
+from .automata import EPSILON, Automaton, Event, InvalidAutomaton, erasure_symbol
 from .estimation import Observer, desired_observer, determinize
 
 Y, Z, W = "Y", "Z", "W"
@@ -145,7 +145,7 @@ def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
     det_f = obs.automaton
     if obs.initial is None or obsd.initial is None:
         return Tpo(name, det_f.events, [], [], None)
-    # Each observer's (x, event) -> x'; the first target wins, as in ``successors``.
+    # Each observer's (x, event) -> x'; the first listed target wins.
     d_next = {(src, label): dst for src, label, dst in reversed(obsd.automaton.transitions)}
     f_next = {(src, label): dst for src, label, dst in reversed(det_f.transitions)}
     observable = sorted(ev.name for ev in det_f.events if ev.observable)
@@ -178,9 +178,8 @@ def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
                 w = admit((W, x_d, x_f, None, pending, True, None))
                 transitions.append((here, ERASE, erasure_symbol(pending), w))
         else:
-            nxt_f = f_next.get((x_f, action))
-            if nxt_f is None:
-                continue
+            # a W state is admitted only where ``(x_f, action)`` moves
+            nxt_f = f_next[(x_f, action)]
             if erased:
                 transitions.append((here, DELIVER_ERASED, action, admit((Y, x_d, nxt_f, None, None, False, None))))
             elif (nxt_d := d_next.get((x_d, action))) is not None:
@@ -196,19 +195,21 @@ def _successors(t: Tpo) -> list[list[tuple[str, str, int]]]:
     return table
 
 
-def check_complete(t: Tpo, g: Automaton, depth: int) -> bool:
+def check_complete(t: Tpo, g: Automaton) -> bool:
     """A TPO is complete when no Z or W state deadlocks and every observable
-    string of ``g`` (up to ``depth``) is the event projection of some run.
+    string of ``g`` is the event projection of some run.
 
-    The second condition is checked by joint reachability between the string
-    sets of ``g`` and the Y-to-Y segment relation of ``t``, not by enumerating
-    runs.
+    The second condition is decided by one breadth-first walk over pairs (a
+    state of ``g``'s observer, the set of Y positions of ``t`` its strings
+    reach through the Y-to-Y segment relation) to a fixpoint; both sides are
+    finite, so the answer covers strings of every length.
     """
     moves = _successors(t)
     if any(fields[0] != Y and not moves[pos] for pos, fields in enumerate(t.states)):
         return False
+    observer = determinize(g).automaton
     if t.initial is None:
-        return not language_upto(g, depth) - {()}
+        return not observer.transitions
 
     # Y-level step relation: y -e-> y' iff some decision chain completes e.
     segment: dict[tuple[int, str], set[int]] = {}
@@ -231,21 +232,17 @@ def check_complete(t: Tpo, g: Automaton, depth: int) -> bool:
                         targets.update(dst for _, _, dst in moves[nxt])
             segment[(pos, label)] = targets
 
-    silent_language = language_upto(g, depth)
-    by_prefix: dict[tuple[str, ...], set[int]] = {(): {t.initial}}
-    queue = deque([()])
+    queue = deque((x, frozenset({t.initial})) for x in observer.initial_states)
+    seen = set(queue)
     while queue:
-        prefix = queue.popleft()
-        ys = by_prefix[prefix]
-        extensions = {s[len(prefix)] for s in silent_language if len(s) > len(prefix) and s[: len(prefix)] == prefix}
-        for event in extensions:
-            nxt: set[int] = set().union(*(segment.get((y, event), ()) for y in ys))
-            if not nxt:
+        x, ys = queue.popleft()
+        for event, dst in observer.outgoing(x):
+            reached = frozenset().union(*(segment.get((y, event), ()) for y in ys))
+            if not reached:
                 return False
-            extended = prefix + (event,)
-            if extended not in by_prefix:
-                by_prefix[extended] = nxt
-                queue.append(extended)
+            if (dst, reached) not in seen:
+                seen.add((dst, reached))
+                queue.append((dst, reached))
     return True
 
 

@@ -188,11 +188,11 @@ def test_criterion_06_private_safety(structure):
 
 def test_criterion_07_modular_traces_embed_in_monolithic_game():
     with criterion(7, "every modular product trace maps into the monolithic game"):
-        ok, trace = check_modular_inclusion(list(demo_pair()), depth=12)
+        ok, trace = check_modular_inclusion(list(demo_pair()))
         assert ok, trace
         for seed in range(25):
             pair = random_pair(RandomSpec(seed=seed, max_states=4))
-            ok, trace = check_modular_inclusion(list(pair), depth=12)
+            ok, trace = check_modular_inclusion(list(pair))
             assert ok, f"seed {seed} escaped at {trace}"
 
 

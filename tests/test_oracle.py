@@ -104,7 +104,7 @@ def test_supervisor_equals_aes_on_sample_seeds():
 
 
 def test_modular_inclusion_on_fixture():
-    ok, trace = check_modular_inclusion(list(demo_pair()), depth=10)
+    ok, trace = check_modular_inclusion(list(demo_pair()))
     assert ok
     assert trace == ()
 
@@ -144,7 +144,7 @@ def test_supervisor_canonical_differs_from_an_aes_at_another_bound():
 def test_modular_inclusion_flags_a_missing_monolithic_transition(monkeypatch):
     original = oracle.largest_tpo
     monkeypatch.setattr(oracle, "largest_tpo", lambda g, name="tpo": _without_transition(original(g, name), 0))
-    ok, trace = check_modular_inclusion(list(demo_pair()), depth=10)
+    ok, trace = check_modular_inclusion(list(demo_pair()))
     assert not ok
     assert trace
 

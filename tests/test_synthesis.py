@@ -198,7 +198,7 @@ def _reference_product(components, spec, name="plant"):
                 if ev.name not in alphabets[i]:
                     targets.append(here[i])
                     continue
-                nxt = part.successors(here[i], ev.name)
+                nxt = [dst for label, dst in part.outgoing(here[i]) if label == ev.name]
                 if not nxt:
                     break
                 if len(nxt) > 1:

@@ -1,5 +1,6 @@
 """Three-player observers: construction, runs, the erasure bound, pruning."""
 
+import dataclasses
 from collections import deque
 
 from opacedit import (
@@ -82,7 +83,7 @@ def test_insertion_moves_intruder_estimate_only(mono_tpo, composed):
         if cls == "zz":
             assert src[X_F] == dst[X_F]
             assert src[EVENT] == dst[EVENT]
-            assert obsd.automaton.successors(src[X_D], label) == (dst[X_D],)
+            assert [x for ev, x in obsd.automaton.outgoing(src[X_D]) if ev == label] == [dst[X_D]]
 
 
 def test_erasure_keeps_intruder_estimate(mono_tpo):
@@ -108,7 +109,7 @@ def test_stop_requires_safe_delivery(mono_tpo):
 
 
 def test_largest_tpo_is_complete(mono_tpo, composed):
-    assert check_complete(mono_tpo, composed, depth=6)
+    assert check_complete(mono_tpo, composed)
 
 
 def test_largest_tpo_is_complete_on_random_systems():
@@ -120,9 +121,31 @@ def test_largest_tpo_is_complete_on_random_systems():
             t = build_largest_tpo(obsd, obs)
             if t.initial is None:
                 continue
-            assert check_complete(t, g, depth=5), f"seed {seed}"
+            assert check_complete(t, g), f"seed {seed}"
             non_empty += 1
     assert non_empty >= 16
+
+
+def test_check_complete_rejects_a_deadlocked_z_or_w_state(mono_tpo, composed):
+    # an unreachable state with no move is still a deadlock
+    for dead in (z(A, C, "alpha"), w_commit(A, C, "alpha")):
+        t = mono_tpo._replace(states=[*mono_tpo.states, dead])
+        assert not check_complete(t, composed)
+
+
+def test_check_complete_on_an_empty_tpo(composed):
+    empty = Tpo(name="empty", events=composed.events, states=[], transitions=[], initial=None)
+    # complete exactly when the system cannot make an observable move
+    assert not check_complete(empty, composed)
+    assert check_complete(empty, dataclasses.replace(composed, transitions=()))
+
+
+def test_check_complete_rejects_a_missing_segment(mono_tpo, composed):
+    # the first transition is an arrival out of the initial state, the only
+    # Y state the empty string reaches
+    src, cls, _, _ = mono_tpo.transitions[0]
+    assert (src, cls) == (mono_tpo.initial, "yz")
+    assert not check_complete(mono_tpo._replace(transitions=mono_tpo.transitions[1:]), composed)
 
 
 def test_empty_desired_observer_gives_empty_tpo():
@@ -234,20 +257,29 @@ def test_prune_to_aes_unenforceable_returns_empty():
 
 
 def _reference_build_largest_tpo(obsd, obs, name="tpo"):
-    """The construction as first written: every probe through
-    ``Automaton.successors`` and every state looked up by its fields.  The
+    """The construction as first written: every probe through a table of
+    each observer's targets per (state, event) and every state looked up by
+    its fields.  The
     differential tests below hold ``build_largest_tpo`` to it."""
     det_d = obsd.automaton
     det_f = obs.automaton
     if obs.initial is None or obsd.initial is None:
         return Tpo(name=name, events=det_f.events, states=[], transitions=[], initial=None)
 
+    def targets_of(det):
+        table = {}
+        for src, label, dst in det.transitions:
+            table.setdefault((src, label), []).append(dst)
+        return table
+
+    d_targets, f_targets = targets_of(det_d), targets_of(det_f)
+
     def d_succ(x_d, event):
-        targets = det_d.successors(x_d, event)
+        targets = d_targets.get((x_d, event))
         return targets[0] if targets else None
 
     def f_succ(x_f, event):
-        targets = det_f.successors(x_f, event)
+        targets = f_targets.get((x_f, event))
         return targets[0] if targets else None
 
     observable = sorted(ev.name for ev in det_f.events if ev.observable)
