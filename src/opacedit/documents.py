@@ -374,10 +374,12 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
     origins = [comp.origins for comp in components]
     all_y = (Y,) * len(components)
     plant_states = {st.name: st for st in plant.states}
+    kinds = {}
     for i, st in enumerate(supervisor.states):
         if plant_states.get(st.name) != st:
             _fail(f"{path}.supervisor.states[{i}]", f"state {st.name!r} is not a plant state with its flags")
-        if st.marked != (tuple(map(getitem, origins, tuple_map[st.name])) == all_y):
+        kinds[st.name] = tuple(map(getitem, origins, tuple_map[st.name]))
+        if st.marked != (kinds[st.name] == all_y):
             _fail(f"{path}.supervisor.states[{i}]", "expected marked exactly when every component is at Y")
         if st.initial and not st.marked:
             _fail(f"{path}.supervisor.states[{i}]", "expected a marked initial state: a session starts at Y")
@@ -391,6 +393,17 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
         for i, ev in enumerate(automaton.events):
             if ev.name not in declared:
                 _fail(f"{path}.{key}.events[{i}].name", f"event {ev.name!r} is declared by no component")
+    # Each edge plays its move in a round: some component leaves the move's
+    # source kind, some enters its target kind, and no other kind changes.
+    # Each distinct (move, source kinds, target kinds) is decided once, in
+    # the order the edges first give it, so the first bad edge is reported.
+    triples = [(declared[label].kind, kinds[src], kinds[dst]) for src, label, dst in supervisor.transitions]
+    for triple in dict.fromkeys(triples):
+        (before, _), (after, _) = MOVES[triple[0]].source, MOVES[triple[0]].target
+        changes = {pair for pair in zip(triple[1], triple[2]) if pair[0] != pair[1]}
+        if not (before in triple[1] and after in triple[2] and changes <= {(before, after)}):
+            i = triples.index(triple)
+            _fail(f"{path}.supervisor.transitions[{i}]", f"{list(supervisor.transitions[i])!r} makes no round")
     diagnostics = tuple(
         _expect_string(entry, f"{path}.diagnostics[{i}]")
         for i, entry in enumerate(_expect_list(doc.get("diagnostics", []), f"{path}.diagnostics"))

@@ -3,10 +3,10 @@
 Each check exercises a structural property of the pipeline by computing both
 sides through different code paths: observers of compositions versus
 compositions of observers, TPOs over abstracted versus exact observers,
-synthesized supervisors versus directly pruned edit structures, and replayed
-sessions versus the safe language.  ``prune_to_aes`` never calls the
-supervisor synthesis and vice versa, so the two sides of the supervisor check
-stay independent.
+synthesized supervisors versus directly pruned edit structures, and edited
+outputs versus the safe language, walked to a fixpoint.  ``prune_to_aes``
+never calls the supervisor synthesis and vice versa, so the two sides of the
+supervisor check stay independent.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .automata import (
     canonical_table,
     compose_all,
     deterministic_isomorphic,
-    language_upto,
 )
 from .constraint import build_constraint_automaton
 from .estimation import desired_observer, determinize
@@ -37,6 +36,7 @@ from .synthesis import (
     supremal_controllable_nonblocking,
     synthesize_modular_edit_structure,
 )
+from .runtime import StepError, open_session, step
 from .tpo import Tpo, build_largest_tpo, largest_tpo, prune_to_aes, run_after
 from .transform import (
     DELIVER,
@@ -268,63 +268,50 @@ def check_modular_inclusion(systems: Sequence[Automaton]) -> tuple[bool, tuple[s
 @dataclass(frozen=True)
 class SafetyReport:
     """What ``check_private_safety`` found: its sorted violations, whether the
-    structure was empty, and how many genuine strings, deliveries reached by
-    the decision walk and pass-through sessions it checked."""
+    structure was empty, how many keys the two walks reached, how many
+    deliveries the decision walk reached and how many pass-through steps it
+    took."""
 
     violations: tuple[str, ...]
     empty: bool
-    strings_checked: int
+    keys_checked: int
     chains_checked: int
-    sessions_checked: int
+    steps_checked: int
 
 
-def check_private_safety(
-    m: ModularEditStructure,
-    systems: Sequence[Automaton],
-    depth: int,
-) -> SafetyReport:
-    """Replay every genuine string (up to ``depth``) through a pass-through
-    session and through every decision chain the supervisor permits, verifying
-    that the intruder's view stays inside the safe language and the erasure
-    budget is never exceeded.
+def check_private_safety(m: ModularEditStructure, systems: Sequence[Automaton]) -> SafetyReport:
+    """Check that every decision chain the supervisor permits, and the
+    pass-through session, keep the intruder's view inside the safe language
+    and within the erasure budget, after every genuine string.
 
-    Within one genuine event the decision chains are walked once over keys
-    (supervisor state, safe-observer state or None once unsafe, run of
-    consecutive erasures, arrived), a finite space, so outputs that go round
-    insertion cycles are checked too; each key keeps the first emitted string
-    that reaches it as the witness the messages print.
+    The composed system's observer stands in for the genuine string: each
+    side is one breadth-first walk, events in sorted order, over keys
+    (observer state, supervisor state, safe-observer state or None once
+    unsafe, erasure run capped at k + 1).  A decision key advances by the
+    chains of one event, walked to a fixpoint so that insertion cycles are
+    checked too; a pass-through key by one ``step``.  Each key keeps the
+    first (shortest) genuine and emitted strings reaching it as its witness.
     """
     if m.is_empty():
-        return SafetyReport(
-            violations=(), empty=True, strings_checked=0, chains_checked=0, sessions_checked=0
-        )
-    composed = compose_all(systems)
-    safe = desired_observer(determinize(composed)).automaton
+        return SafetyReport(violations=(), empty=True, keys_checked=0, chains_checked=0, steps_checked=0)
+    observed = determinize(compose_all(systems))
+    observer = observed.automaton
+    safe = desired_observer(observed).automaton
     safe_moves = {(src, label): dst for src, label, dst in safe.transitions}
     decorations = decoration_table(m.components)
-    supervisor = m.supervisor
-    edges: dict[str, list[tuple[object, str]]] = {st.name: [] for st in supervisor.states}
-    for src, label, dst in supervisor.transitions:
+    edges: dict[str, list[tuple[object, str]]] = {st.name: [] for st in m.supervisor.states}
+    for src, label, dst in m.supervisor.transitions:
         edges[src].append((decorations[label], dst))
     # Any run past the budget is reported alike, so runs stop growing there.
     over = m.max_erasures + 1
+    violations: set[str] = set()
+    chains = steps = 0
 
-    genuine = sorted(language_upto(composed, depth), key=lambda s: (len(s), s))
-    violations: list[str] = []
-    chains = 0
-    safe_initial = safe.initial_states[0] if safe.initial_states else None
-    # Per consumed prefix: (supervisor state, safe state, run) -> emitted witness.
-    frontier: dict[tuple[str, ...], dict[tuple[str, str | None, int], tuple[str, ...]]] = {
-        (): {(supervisor.initial_states[0], safe_initial, 0): ()}
-    }
-    for string in genuine:
-        if string == ():
-            continue
-        symbol = string[-1]
-        sources = frontier.get(string[:-1], {})
+    def decide(here, view, run, symbol, out):
+        nonlocal chains
         results: dict[tuple[str, str | None, int], tuple[str, ...]] = {}
-        reached = [(key + (False,), out) for key, out in sources.items()]
-        seen = {key for key, _ in reached}
+        reached = [((here, view, run, False), out)]
+        seen = {reached[0][0]}
         for (here, view, run, arrived), out in reached:
             for dec, dst in edges[here]:
                 # first the genuine event's arrival, then only the edit's moves
@@ -341,64 +328,62 @@ def check_private_safety(
                 elif (moved := key + (True,)) not in seen:
                     seen.add(moved)
                     reached.append((moved, nxt_out))
-        if sources and not results:
-            violations.append(f"no admissible decision chain after {'.'.join(string)}")
-        for (state, view, run), emitted in results.items():
-            if run > m.max_erasures:
-                violations.append(
-                    f"erasure budget exceeded after {'.'.join(string)} at {state}"
-                )
-            if view is None:
-                shown = ".".join(emitted) if emitted else EPSILON
-                violations.append(
-                    f"unsafe output {shown} after {'.'.join(string)} at {state}"
-                )
-        if results:
-            frontier[string] = results
+        return results, None
 
-    # Second pass: drive a pass-through session over every maximal string and
-    # check the emitted view and the erasure budget it actually realizes.
-    from .runtime import StepError, open_session, step
+    # One session takes every step, each from the state of the key it advances.
+    session = open_session(m, policy="pass-through")
 
-    extended = {s[:-1] for s in genuine if s}
-    maximal = [s for s in genuine if s and s not in extended]
-    sessions = 0
-    for string in maximal:
-        session = open_session(m, policy="pass-through")
-        sessions += 1
-        stranded = False
-        for symbol in string:
-            try:
-                step(session, symbol)
-            except StepError as err:
-                violations.append(f"session stranded after {'.'.join(string)}: {err}")
-                stranded = True
-                break
-        if stranded:
-            continue
-        view = safe_initial
-        for symbol in session.emitted:
-            view = safe_moves.get((view, symbol))
-        if view is None:
-            shown = ".".join(session.emitted) if session.emitted else EPSILON
-            violations.append(f"unsafe session output {shown} after {'.'.join(string)}")
-        streak = 0
-        for label in session.trace:
-            dec = decorations[label]
-            if dec.kind == INSERT:
-                streak = 0
-            elif dec.kind == ERASE:
-                streak += 1
-                if streak > m.max_erasures:
-                    violations.append(
-                        f"session exceeded the erasure budget after {'.'.join(string)}"
-                    )
+    def pass_through(here, view, run, symbol, out):
+        nonlocal steps
+        steps += 1
+        session.current = here
+        try:
+            result = step(session, symbol)
+        except StepError as err:
+            return {}, err
+        for label in result.decisions:
+            run = min(run_after(decorations[label].kind, run), over)
+        for sent in result.emitted:
+            view = safe_moves.get((view, sent))
+        return {(result.state, view, run): out + result.emitted}, None
+
+    start = (observer.initial_states[0], m.supervisor.initial_states[0], (safe.initial_states or (None,))[0], 0)
+    keys = 0
+    for advance, stuck, over_budget, unsafe in (
+        (decide, "no admissible decision chain after {string}", "erasure budget exceeded after {string} at {state}",
+         "unsafe output {output} after {string} at {state}"),
+        (pass_through, "session stranded after {string}: {error}", "session exceeded the erasure budget after {string}",
+         "unsafe session output {output} after {string}"),
+    ):
+        witness = {start: ((), ())}
+        queue = deque([start])
+        while queue:
+            here, state, view, run = queue.popleft()
+            string, out = witness[here, state, view, run]
+            for symbol, there in sorted(observer.outgoing(here)):
+                after = string + (symbol,)
+                shown = ".".join(after)
+                results, error = advance(state, view, run, symbol, out)
+                if not results:
+                    violations.add(stuck.format(string=shown, error=error))
+                for (nxt_state, nxt_view, nxt_run), emitted in results.items():
+                    key = (there, nxt_state, nxt_view, nxt_run)
+                    if key in witness:
+                        continue
+                    witness[key] = (after, emitted)
+                    queue.append(key)
+                    if nxt_run > m.max_erasures:
+                        violations.add(over_budget.format(string=shown, state=nxt_state))
+                    if nxt_view is None:
+                        output = ".".join(emitted) or EPSILON
+                        violations.add(unsafe.format(output=output, string=shown, state=nxt_state))
+        keys += len(witness)
     return SafetyReport(
-        violations=tuple(sorted(set(violations))),
+        violations=tuple(sorted(violations)),
         empty=False,
-        strings_checked=len(genuine),
+        keys_checked=keys,
         chains_checked=chains,
-        sessions_checked=sessions,
+        steps_checked=steps,
     )
 
 
@@ -456,7 +441,7 @@ def run_suite(name: str, seed: int, count: int | None = None) -> dict:
         else:
             systems = list(random_pair(spec))
             m = synthesize_modular_edit_structure(systems, max_erasures=1)
-            report = check_private_safety(m, systems, depth=5)
+            report = check_private_safety(m, systems)
             ok = not report.violations
             if not ok:
                 failures.append(

@@ -203,7 +203,7 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
             session.consumed.append(event)
             session.emitted.extend(result.emitted)
             return result
-    saved_state, saved_depth = session.current, len(session.trace)
+    saved_state, saved_length = session.current, len(session.trace)
     emitted: list[str] = []
     decisions: list[str] = []
     forced = deque(overrides or ())
@@ -256,13 +256,13 @@ def step(session: Session, event: str, overrides: Sequence[str] | None = None) -
             raise StepError(f"decision {forced[0]!r} comes after the step completed")
     except StepError:
         session.current = saved_state
-        del session.trace[saved_depth:]
+        del session.trace[saved_length:]
         raise
     session.consumed.append(event)
     session.emitted.extend(emitted)
     result = StepResult(emitted=tuple(emitted), state=session.current, decisions=tuple(decisions))
     if key is not None:
-        session._tables.steps[key] = (tuple(session.trace[saved_depth:]), result)
+        session._tables.steps[key] = (tuple(session.trace[saved_length:]), result)
     return result
 
 

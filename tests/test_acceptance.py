@@ -171,18 +171,18 @@ def test_criterion_05_synthesis_matches_direct_pruning():
 
 def test_criterion_06_private_safety(structure):
     with criterion(6, "replayed outputs stay in the safe language within the erasure budget"):
-        report = check_private_safety(structure, list(demo_pair()), depth=8)
+        report = check_private_safety(structure, list(demo_pair()))
         assert not report.empty
         assert report.violations == ()
-        assert report.strings_checked > 0
+        assert report.keys_checked > 0
 
         replayed = 0
         for seed in range(50):
             pair = random_pair(RandomSpec(seed=seed, max_states=4))
             m = synthesize_modular_edit_structure(list(pair), max_erasures=1)
-            random_report = check_private_safety(m, list(pair), depth=6)
+            random_report = check_private_safety(m, list(pair))
             assert random_report.violations == (), f"unsafe output at seed {seed}"
-            replayed += random_report.strings_checked
+            replayed += random_report.keys_checked
         assert replayed > 0
 
 

@@ -1,14 +1,14 @@
 """The library's fixpoint checks against the bounded checks they replaced.
 
-``check_complete``, ``check_modular_inclusion`` and the decision-chain walk
-of ``check_private_safety`` each walk a finite space to a fixpoint.  The
-references below are the earlier bounded forms: completeness over the
-strings of ``g`` up to a depth, the pair search cut at a depth, and the
+``check_complete``, ``check_modular_inclusion`` and ``check_private_safety``
+each walk a finite space to a fixpoint.  The references below are the
+earlier bounded forms: completeness over the strings of ``g`` up to a depth,
+the pair search cut at a depth, private safety over the genuine strings up
+to a depth with one pass-through session per maximal string, and the
 path-by-path chain walk that skipped every insertion into a state already
 visited in the chain.  The checks must agree with them wherever the bounds
 see everything, and must catch what lies beyond them.
 """
-
 import dataclasses
 from collections import deque
 
@@ -25,6 +25,7 @@ from opacedit import (
     check_modular_inclusion,
     check_private_safety,
     compose_all,
+    demo_g1,
     demo_pair,
     desired_observer,
     determinize,
@@ -36,8 +37,9 @@ from opacedit import (
     synthesize_modular_edit_structure,
 )
 from opacedit.oracle import _tpo_edge_table, suite_specs
+from opacedit.runtime import StepError, open_session, step
 from opacedit.synthesis import encode_components
-from opacedit.tpo import ERASE, INSERT, STOP, Y
+from opacedit.tpo import ERASE, INSERT, STOP, Y, run_after
 from opacedit.transform import DELIVER, DELIVER_ERASED, SYSTEM, decoration_table, run_label
 
 
@@ -168,6 +170,79 @@ def _chain_walk(m, systems, depth):
     return tuple(sorted(violations)), chains
 
 
+def _bounded_private_safety(m, systems, depth):
+    """The violations ``check_private_safety`` finds over the genuine strings
+    up to ``depth``: the decision chains of each string walked from the keys
+    its prefix reached, and one pass-through session per maximal string."""
+    composed = compose_all(systems)
+    safe = desired_observer(determinize(composed)).automaton
+    safe_moves = {(src, label): dst for src, label, dst in safe.transitions}
+    decorations = decoration_table(m.components)
+    supervisor = m.supervisor
+    edges = {st.name: [] for st in supervisor.states}
+    for src, label, dst in supervisor.transitions:
+        edges[src].append((decorations[label], dst))
+    over = m.max_erasures + 1
+    genuine = sorted(language_upto(composed, depth), key=lambda s: (len(s), s))
+    violations = []
+    safe_initial = safe.initial_states[0] if safe.initial_states else None
+    # Per consumed prefix: (supervisor state, safe state, run) -> emitted witness.
+    frontier = {(): {(supervisor.initial_states[0], safe_initial, 0): ()}}
+    for string in genuine:
+        if string == ():
+            continue
+        symbol = string[-1]
+        sources = frontier.get(string[:-1], {})
+        results = {}
+        reached = [(key + (False,), out) for key, out in sources.items()]
+        seen = {key for key, _ in reached}
+        for (here, view, run, arrived), out in reached:
+            for dec, dst in edges[here]:
+                if (dec.kind == SYSTEM) == arrived or (not arrived and dec.base != symbol):
+                    continue
+                if dec.kind in (INSERT, DELIVER):
+                    nxt_out, nxt_view = out + (dec.base,), safe_moves.get((view, dec.base))
+                else:
+                    nxt_out, nxt_view = out, view
+                key = (dst, nxt_view, min(run_after(dec.kind, run), over))
+                if dec.kind in (DELIVER, DELIVER_ERASED):
+                    results.setdefault(key, nxt_out)
+                elif (moved := key + (True,)) not in seen:
+                    seen.add(moved)
+                    reached.append((moved, nxt_out))
+        if sources and not results:
+            violations.append(f"no admissible decision chain after {'.'.join(string)}")
+        for (state, view, run), emitted in results.items():
+            if run > m.max_erasures:
+                violations.append(f"erasure budget exceeded after {'.'.join(string)} at {state}")
+            if view is None:
+                shown = ".".join(emitted) if emitted else EPSILON
+                violations.append(f"unsafe output {shown} after {'.'.join(string)} at {state}")
+        if results:
+            frontier[string] = results
+    extended = {s[:-1] for s in genuine if s}
+    for string in [s for s in genuine if s and s not in extended]:
+        session = open_session(m, policy="pass-through")
+        try:
+            for symbol in string:
+                step(session, symbol)
+        except StepError as err:
+            violations.append(f"session stranded after {'.'.join(string)}: {err}")
+            continue
+        view = safe_initial
+        for symbol in session.emitted:
+            view = safe_moves.get((view, symbol))
+        if view is None:
+            shown = ".".join(session.emitted) if session.emitted else EPSILON
+            violations.append(f"unsafe session output {shown} after {'.'.join(string)}")
+        streak = 0
+        for label in session.trace:
+            streak = run_after(decorations[label].kind, streak)
+            if streak > m.max_erasures:
+                violations.append(f"session exceeded the erasure budget after {'.'.join(string)}")
+    return tuple(sorted(set(violations)))
+
+
 def _random_tpos():
     """Each largest TPO of ``random_system`` seeds 0-59 and its pruning at
     k = 0, 1 and 2: 240 TPOs with the system each is checked against."""
@@ -200,11 +275,26 @@ def test_exact_checks_agree_with_the_references_on_the_suites(seed):
         m = synthesize_modular_edit_structure(systems, max_erasures=1)
         if m.is_empty():
             continue
-        report = check_private_safety(m, systems, 5)
+        report = check_private_safety(m, systems)
         violations, chains = _chain_walk(m, systems, 5)
-        assert report.violations == violations == ()
+        assert report.violations == violations == _bounded_private_safety(m, systems, 5) == ()
         # the walk reaches each delivery once per key, not once per chain
         assert report.chains_checked <= chains
+
+
+def test_exact_private_safety_agrees_with_the_bounded_reference_on_the_fixtures(ring):
+    # the depths the fixtures' own tests used before the check became exact
+    cases = [(ring(seed, size), 4) for size in (3, 4) for seed in range(12)]
+    cases += [([demo_g1()], 5)] + [([random_system(RandomSpec(seed=seed))], 3) for seed in range(20)]
+    non_empty = 0
+    for systems, depth in cases:
+        m = synthesize_modular_edit_structure(systems, max_erasures=1)
+        report = check_private_safety(m, systems)
+        if report.empty:
+            continue
+        non_empty += 1
+        assert report.violations == _bounded_private_safety(m, systems, depth) == ()
+    assert non_empty >= 30
 
 
 def _chain(events, name):
@@ -258,6 +348,53 @@ def test_private_safety_checks_outputs_round_insertion_cycles():
         supervisor=dataclasses.replace(m.supervisor, transitions=m.supervisor.transitions + (loop,)),
     )
     assert _chain_walk(looped, systems, 6)[0] == ()
-    violations = check_private_safety(looped, systems, 6).violations
+    violations = check_private_safety(looped, systems).violations
     assert len(violations) == 2
     assert all(v.startswith("unsafe output ") for v in violations)
+
+
+def _rounds(*rounds):
+    """A supervisor of Y states ``y*``, one round per ``(source, event,
+    target, insertions)``: the arrival, the insertions, a stop and the
+    delivery."""
+    edges = []
+    for src, event, dst, inserted in rounds:
+        here = f"{src}{event}"
+        edges.append((src, event, here))
+        for symbol in inserted:
+            edges.append((here, f"ins:{symbol}@{event}", here + symbol))
+            here += symbol
+        edges += [(here, f"stop@{event}", here + "!"), (here + "!", f"out:{event}@{event}", dst)]
+    return edges
+
+
+def test_private_safety_sees_an_unsafe_output_beyond_the_old_depth():
+    # the genuine strings are the prefixes of a^6 and of x.a; the hand-built
+    # supervisor passes every event through except the sixth a, which it
+    # answers with an inserted x: a^5.x.a is no genuine string
+    g = Automaton(
+        name="g",
+        events=(Event("a"), Event("x")),
+        states=tuple(State(f"s{i}", initial=i == 0) for i in range(7)) + (State("t"), State("u")),
+        transitions=tuple((f"s{i}", "a", f"s{i + 1}") for i in range(6)) + (("s0", "x", "t"), ("t", "a", "u")),
+    )
+    m = synthesize_modular_edit_structure([g], max_erasures=1)
+    edges = _rounds(
+        *((f"y{i}", "a", f"y{i + 1}", "x" if i == 5 else "") for i in range(6)),
+        ("y0", "x", "yx", ""),
+        ("yx", "a", "yxa", ""),
+    )
+    table = decoration_table(m.components)
+    names = list(dict.fromkeys(name for src, _, dst in edges for name in (src, dst)))
+    supervisor = Automaton(
+        name="hand-built",
+        events=tuple(table[label].event() for label in sorted({label for _, label, _ in edges})),
+        states=tuple(State(name, initial=name == "y0", marked=name.startswith("y")) for name in names),
+        transitions=tuple(edges),
+    )
+    rigged = dataclasses.replace(m, supervisor=supervisor)
+    assert _bounded_private_safety(rigged, [g], 5) == ()
+    assert check_private_safety(rigged, [g]).violations == (
+        "unsafe output a.a.a.a.a.x.a after a.a.a.a.a.a at y6",
+        "unsafe session output a.a.a.a.a.x.a after a.a.a.a.a.a",
+    )

@@ -152,11 +152,11 @@ def test_modular_inclusion_flags_a_missing_monolithic_transition(monkeypatch):
 def test_private_safety_on_fixture():
     systems = list(demo_pair())
     m = synthesize_modular_edit_structure(systems, max_erasures=1)
-    report = check_private_safety(m, systems, depth=6)
+    report = check_private_safety(m, systems)
     assert not report.violations
     assert not report.empty
-    assert report.strings_checked > 0
-    assert report.sessions_checked > 0
+    assert report.keys_checked > 0
+    assert report.steps_checked > 0
 
 
 @pytest.mark.parametrize("size, floor", [(3, 8), (4, 7)])
@@ -165,7 +165,7 @@ def test_private_safety_on_rings(ring, size, floor):
     for seed in range(12):
         systems = ring(seed, size)
         m = synthesize_modular_edit_structure(systems, max_erasures=1)
-        report = check_private_safety(m, systems, depth=4)
+        report = check_private_safety(m, systems)
         assert report.violations == (), f"ring of {size}, seed {seed}"
         non_empty += not report.empty
     assert non_empty >= floor
@@ -174,14 +174,14 @@ def test_private_safety_on_rings(ring, size, floor):
 def test_private_safety_on_single_components():
     g = demo_g1()
     m = synthesize_modular_edit_structure([g], max_erasures=1)
-    report = check_private_safety(m, [g], depth=5)
+    report = check_private_safety(m, [g])
     assert report.violations == ()
     assert not report.empty
     non_empty = 0
     for seed in range(20):
         g = random_system(RandomSpec(seed=seed))
         m = synthesize_modular_edit_structure([g], max_erasures=1)
-        report = check_private_safety(m, [g], depth=3)
+        report = check_private_safety(m, [g])
         assert report.violations == (), f"seed {seed}"
         non_empty += not report.empty
     assert non_empty >= 14
@@ -200,7 +200,7 @@ def test_private_unobservable_event_stays_private():
         left, right = random_pair(RandomSpec(seed=seed, max_states=4, alphabet_size=3))
         systems = [_hidden(left, "a"), right]
         m = synthesize_modular_edit_structure(systems, max_erasures=1)
-        report = check_private_safety(m, systems, depth=5)
+        report = check_private_safety(m, systems)
         assert report.violations == (), f"seed {seed}"
         if report.empty:
             continue
@@ -216,7 +216,7 @@ def test_private_safety_flags_unsafe_supervisor():
     systems = list(demo_pair())
     m = synthesize_modular_edit_structure(systems, max_erasures=1)
     rigged = dataclasses.replace(m, supervisor=m.plant)
-    report = check_private_safety(rigged, systems, depth=6)
+    report = check_private_safety(rigged, systems)
     assert report.violations
 
 
@@ -252,13 +252,12 @@ def test_private_safety_flags_unsafe_outputs_and_stranded_sessions():
             *_PASS_BETA,
         ]
     )
-    shallow = check_private_safety(m, systems, depth=2).violations
-    assert "unsafe output alpha.gamma after gamma at y" in shallow
-    assert "unsafe session output alpha.gamma.beta after gamma.beta" in shallow
-    deep = check_private_safety(m, systems, depth=3).violations
-    assert "unsafe output alpha.gamma after gamma at y" in deep
-    assert "no admissible decision chain after beta.gamma.alpha" in deep
-    assert "session stranded after beta.gamma.alpha: event 'alpha' is not enabled at y" in deep
+    violations = check_private_safety(m, systems).violations
+    # each message names the shortest genuine string that reaches its key
+    assert "unsafe output alpha.gamma after gamma at y" in violations
+    assert "unsafe session output alpha.gamma after gamma" in violations
+    assert "no admissible decision chain after beta.gamma.alpha" in violations
+    assert "session stranded after beta.gamma.alpha: event 'alpha' is not enabled at y" in violations
 
 
 def test_private_safety_flags_sessions_over_the_erasure_budget():
@@ -266,9 +265,9 @@ def test_private_safety_flags_sessions_over_the_erasure_budget():
         [("y", "gamma", "z"), ("z", "erz:gamma@gamma", "w"), ("w", "drop:gamma@gamma", "y"), *_PASS_BETA],
         max_erasures=0,
     )
-    violations = check_private_safety(m, systems, depth=2).violations
+    violations = check_private_safety(m, systems).violations
     assert "erasure budget exceeded after gamma at y" in violations
-    assert "session exceeded the erasure budget after gamma.beta" in violations
+    assert "session exceeded the erasure budget after gamma" in violations
 
 
 def test_private_safety_vacuous_on_empty_supervisor():
@@ -279,7 +278,7 @@ def test_private_safety_vacuous_on_empty_supervisor():
         transitions=(("s0", "a", "s1"),),
     )
     m = synthesize_modular_edit_structure([exposed], max_erasures=1)
-    report = check_private_safety(m, [exposed], depth=4)
+    report = check_private_safety(m, [exposed])
     assert report.empty
     assert not report.violations
 

@@ -1,7 +1,9 @@
 """A step is one round of the edit game: the arrival, insertions, one stop or
 erasure, and one delivery back to a Y state.  A structure whose moves do not
-make that round is an error, not an endless step."""
+make that round is an error, not an endless step: the loader refuses its
+document, and ``step`` refuses it when it is built in memory."""
 
+import dataclasses
 import json
 import os
 import random
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from opacedit import (
+    DocumentError,
     StepError,
     demo_pair,
     open_session,
@@ -65,8 +68,8 @@ def test_every_step_is_one_round(ring):
     assert steps >= len(structures) * len(POLICIES) * 2 * 5
 
 
-# Demo structures the loader accepts whose moves make no round: every plant and
-# supervisor edge out of a state is replaced by one edge.
+# Demo structures whose moves make no round: every plant and supervisor edge
+# out of a state is replaced by one edge.
 BROKEN = {
     # a delivery where a decision is due: an ``out:alpha@beta`` self-loop at
     # the Z state pending ``beta``
@@ -75,6 +78,18 @@ BROKEN = {
     # committed to ``beta`` back to that Z state
     "stop-back": (W_BETA, "stop@beta", Z_BETA),
 }
+
+
+def _broken_structure(structure, edge):
+    """The structure with ``edge`` in place of its source's edges, built in
+    memory, where no loader checks it."""
+    parts = {}
+    for key in ("plant", "supervisor"):
+        automaton = getattr(structure, key)
+        kept = tuple(tr for tr in automaton.transitions if tr[0] != edge[0])
+        assert len(kept) < len(automaton.transitions)
+        parts[key] = dataclasses.replace(automaton, transitions=kept + (edge,))
+    return dataclasses.replace(structure, **parts)
 
 
 def _broken_document(structure, edge):
@@ -110,13 +125,19 @@ EDGES = pytest.mark.parametrize("edge", BROKEN.values(), ids=BROKEN.keys())
 @EDGES
 @pytest.mark.parametrize("overrides", [None, ["stop@beta"]])
 def test_step_that_makes_no_round_is_an_error(structure, edge, overrides):
-    s = open_session(parse_document(_broken_document(structure, edge)))
+    s = open_session(_broken_structure(structure, edge))
     before = (s.current, list(s.trace), list(s.emitted), list(s.consumed))
     with _deadline(10), pytest.raises(StepError):
         step(s, "beta", overrides)
     assert (s.current, s.trace, s.emitted, s.consumed) == before
     step(s, "gamma")
     assert s.consumed == ["gamma"]
+
+
+@EDGES
+def test_loader_rejects_an_edge_that_makes_no_round(structure, edge):
+    with pytest.raises(DocumentError, match=r"^\$\.supervisor\.transitions\[\d+\]: .* makes no round"):
+        parse_document(_broken_document(structure, edge))
 
 
 @EDGES
@@ -131,6 +152,7 @@ def test_cli_step_reports_a_step_that_makes_no_round(tmp_path, structure, edge):
         timeout=60,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert len(lines) == 4 and lines[1].startswith("error: ") and lines[2] == "emit gamma", lines
+    # the loader refuses the structure before any step is taken
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "$.supervisor.transitions[" in done.stderr and "makes no round" in done.stderr
