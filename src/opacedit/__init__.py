@@ -26,7 +26,6 @@ from .automata import (
     compose_all,
     deterministic_isomorphic,
     erasure_symbol,
-    language_upto,
     quotient,
 )
 from .constraint import ConstraintSpec, build_constraint_automaton, constraint_alphabet
@@ -135,7 +134,6 @@ __all__ = [
     "deterministic_isomorphic",
     "erasure_symbol",
     "export_dot",
-    "language_upto",
     "largest_tpo",
     "opaque_bisimulation_partition",
     "opaque_observation_equivalence_partition",

@@ -3,8 +3,7 @@ operations the rest of the library is built on: the synchronous product of
 any number of automata (``synchronous_product``, one breadth-first pass over
 tuples of local states, behind both ``compose_all`` and the synthesis plant),
 restriction to a state subset, quotients by a state partition, natural
-projection, observable language up to a length bound and isomorphism of
-deterministic automata.
+projection and isomorphism of deterministic automata.
 
 States carry three independent flags (initial, marked, secret).  Events carry
 observability and controllability flags.  The label ``tau`` is reserved for
@@ -14,12 +13,13 @@ declared alphabet.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import product
-from operator import contains
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from operator import attrgetter, contains, itemgetter
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 TAU = "tau"
 EPSILON = "ε"
@@ -34,6 +34,22 @@ def erasure_symbol(event: str) -> str:
     return f"{event}→{EPSILON}"
 
 
+def pauses_collector(build: Callable) -> Callable:
+    """``build`` with the cyclic collector paused, then left as the caller had it, on error too."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 @dataclass(frozen=True, slots=True)
 class Event:
     """An alphabet symbol with its observability and controllability flags."""
@@ -43,8 +59,10 @@ class Event:
     controllable: bool = True
 
 
-@dataclass(frozen=True, slots=True)
-class State:
+class State(NamedTuple):
+    """A state: its name and three flags.  An immutable tuple, so a changed
+    copy is ``st._replace(...)``."""
+
     name: str
     initial: bool = False
     marked: bool = False
@@ -64,7 +82,7 @@ class Automaton:
     ``event_map``, ``state_map``, the initial, marked and secret states,
     ``is_deterministic`` (only the answer), and the table behind
     ``outgoing`` (``_out``).  That table is cached only by analyses:
-    ``reachable_states`` and ``trim_reachable``, ``language_upto``,
+    ``reachable_states`` and ``trim_reachable``,
     ``deterministic_isomorphic``, the walks of ``estimation`` and
     ``abstraction``, and the checks in ``tpo`` and ``oracle``.  The
     synthesis back end caches none: ``synchronous_product`` and
@@ -79,6 +97,14 @@ class Automaton:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self) -> None:
+        """Names are nonempty, distinct and not ``tau``, flags are bools and
+        transitions join states by ``tau`` or declared events.  What
+        ``_accepted`` does not accept, or raises on, goes through the loops."""
+        try:
+            if self._accepted():
+                return
+        except Exception:
+            pass
         seen_events: set[str] = set()
         for ev in self.events:
             if ev.name == TAU:
@@ -106,6 +132,28 @@ class Automaton:
                 raise InvalidAutomaton(f"{self.name!r}: transitions[{i}] has unknown target {dst!r}")
             if label != TAU and label not in seen_events:
                 raise InvalidAutomaton(f"{self.name!r}: transitions[{i}] has undeclared event {label!r}")
+
+    def _accepted(self) -> bool:
+        """True only where the loops of ``__post_init__`` accept, decided in
+        whole-column passes over tuples (the loops read any other iterable
+        once): states by position once each is a ``State``, transitions once
+        each has three items."""
+        events, states, transitions = self.events, self.states, self.transitions
+        if {type(events), type(states), type(transitions)} != {tuple} or not {State} >= set(map(type, states)):
+            return False
+        labels = list(map(attrgetter("name"), events))
+        names, *flags = list(zip(*states)) or [()] * 4
+        flags += [map(attrgetter("observable"), events), map(attrgetter("controllable"), events)]
+        declared, known = set(labels), set(names)
+        return (
+            {3} >= set(map(len, transitions))
+            and all(labels) and TAU not in labels and len(declared) == len(labels)
+            and all(names) and len(known) == len(names)
+            and all({bool} >= set(map(type, column)) for column in flags)
+            and known.issuperset(map(itemgetter(0), transitions))
+            and known.issuperset(map(itemgetter(2), transitions))
+            and (declared | {TAU}).issuperset(map(itemgetter(1), transitions))
+        )
 
     @cached_property
     def event_map(self) -> Mapping[str, Event]:
@@ -392,39 +440,6 @@ def quotient(a: Automaton, partition: Partition, name: str | None = None) -> Aut
         states=tuple(states),
         transitions=tuple(sorted(transitions)),
     )
-
-
-def language_upto(a: Automaton, depth: int) -> set[tuple[str, ...]]:
-    """All observable strings of length at most ``depth`` generated by ``a``.
-
-    Enumerates raw paths directly (tau moves emit nothing), so it is usable as
-    an independent oracle for the subset construction.
-    """
-    language: set[tuple[str, ...]] = set()
-    seen: set[tuple[str, tuple[str, ...]]] = set()
-    queue: deque[tuple[str, tuple[str, ...]]] = deque()
-    for init in a.initial_states:
-        pair = (init, ())
-        if pair not in seen:
-            seen.add(pair)
-            queue.append(pair)
-            language.add(())
-    while queue:
-        state, string = queue.popleft()
-        for label, dst in a.outgoing(state):
-            if label == TAU:
-                nxt = (dst, string)
-            elif a.event_map[label].observable:
-                if len(string) == depth:
-                    continue
-                nxt = (dst, string + (label,))
-            else:
-                nxt = (dst, string)
-            if nxt not in seen:
-                seen.add(nxt)
-                language.add(nxt[1])
-                queue.append(nxt)
-    return language
 
 
 def canonical_table(

@@ -18,21 +18,21 @@ automaton cites the name objects of its declared states and events, the
 ``tuple_map`` entry is keyed by the plant's state name and cites the state
 names of the components and the constraint.
 
-Documents are written row by row, one f-string per event, state, transition,
-``tuple_map`` entry or origin, into the exact bytes of
-``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``: with an indent,
-``json.dumps`` runs its pure-Python encoder over every value.
+Documents are written row by row, as strings or their pieces, into the exact
+bytes of ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``: with an
+indent, ``json.dumps`` runs its pure-Python encoder over every value.  The
+writer and the reader pause the cyclic collector while they run.
 """
 
 from __future__ import annotations
 
-import gc
 import json
+from itertools import product
 from json.encoder import encode_basestring
 from operator import getitem
 from typing import Any
 
-from .automata import EPSILON, TAU, Automaton, Event, InvalidAutomaton, State, erasure_symbol
+from .automata import EPSILON, TAU, Automaton, Event, InvalidAutomaton, State, erasure_symbol, pauses_collector
 from .synthesis import ModularEditStructure
 from .tpo import ERASE, INSERT, KINDS, MOVES, STOP, SYSTEM, W, Y, Z, Tpo, render_names, run_after
 from .transform import TransformedAutomaton, decoration_table, parse_decorated
@@ -419,35 +419,29 @@ def structure_from_dict(doc: Any, path: str = "$") -> ModularEditStructure:
     )
 
 
+@pauses_collector
 def parse_document(text: str) -> Automaton | Tpo | TransformedAutomaton | ModularEditStructure:
     """Parse any document, dispatching on its "kind" field; documents without
-    one are plain automata.
-
-    The reader builds acyclic data, so a cyclic collection during the build
-    frees nothing: the collector is paused while it runs and left as the
-    caller had it."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        doc = _load_json(text)
-        kind = _kind(doc)
-        if kind is None:
-            return automaton_from_dict(doc)
-        if kind == KIND_TPO:
-            return tpo_from_dict(doc)
-        if kind == KIND_TRANSFORMED:
-            return transformed_from_dict(doc)
-        if kind == KIND_STRUCTURE:
-            return structure_from_dict(doc)
-        raise DocumentError(f"$.kind: unknown document kind {kind!r}")
-    finally:
-        if enabled:
-            gc.enable()
+    one are plain automata.  The reader builds acyclic data, so the cyclic
+    collector is paused while it runs."""
+    doc = _load_json(text)
+    kind = _kind(doc)
+    if kind is None:
+        return automaton_from_dict(doc)
+    if kind == KIND_TPO:
+        return tpo_from_dict(doc)
+    if kind == KIND_TRANSFORMED:
+        return transformed_from_dict(doc)
+    if kind == KIND_STRUCTURE:
+        return structure_from_dict(doc)
+    raise DocumentError(f"$.kind: unknown document kind {kind!r}")
 
 
 # Writing.  Each function appends the rows of one value to ``out``; ``pad``
 # is the indentation of the line the value opens on.  An item row starts with
-# ",\n" and its own indentation; ``_close`` drops the first row's comma.
+# ",\n" and its own indentation; ``_close`` drops the first row's comma.  A
+# row of a state, transition or origin goes in as its pieces, so that its
+# text is copied once, by the final join.
 
 _JSON_BOOL = {True: "true", False: "false"}
 
@@ -475,7 +469,8 @@ def _write_events(out: list[str], events: tuple[Event, ...], pad: str) -> None:
     _close(out, first, pad, "]")
 
 
-def _write_automaton(out: list[str], a: Automaton, pad: str) -> None:
+def _write_automaton(out: list[str], a: Automaton, pad: str) -> dict[str, str]:
+    """Returns the encoding of each state name, for the rows that cite them."""
     key, item, field = pad + "  ", pad + "    ", pad + "      "
     out.append(f'{{\n{key}"name": {encode_basestring(a.name)},\n{key}"events": ')
     _write_events(out, a.events, key)
@@ -483,24 +478,26 @@ def _write_automaton(out: list[str], a: Automaton, pad: str) -> None:
     names = {st.name: encode_basestring(st.name) for st in a.states}
     labels = {ev.name: encode_basestring(ev.name) for ev in a.events}
     labels[TAU] = encode_basestring(TAU)
+    # A state row is its name between two fixed parts, the second by its flags.
+    head = f',\n{item}{{\n{field}"name": '
+    tails = {
+        key: "".join(f',\n{field}"{flag}": {_JSON_BOOL[on]}' for flag, on in zip(("initial", "marked", "secret"), key))
+        + f"\n{item}}}"
+        for key in product(_JSON_BOOL, repeat=3)
+    }
     out.append(f',\n{key}"states": [')
     first = len(out)
-    out += [
-        f',\n{item}{{\n{field}"name": {names[st.name]},'
-        f'\n{field}"initial": {_JSON_BOOL[st.initial]},'
-        f'\n{field}"marked": {_JSON_BOOL[st.marked]},'
-        f'\n{field}"secret": {_JSON_BOOL[st.secret]}\n{item}}}'
-        for st in a.states
-    ]
+    for name, initial, marked, secret in a.states:
+        out += (head, names[name], tails[initial, marked, secret])
     _close(out, first, key, "]")
     out.append(f',\n{key}"transitions": [')
     first = len(out)
-    out += [
-        f",\n{item}[\n{field}{names[src]},\n{field}{labels[label]},\n{field}{names[dst]}\n{item}]"
-        for src, label, dst in a.transitions
-    ]
+    start, sep, end = f",\n{item}[\n{field}", f",\n{field}", f"\n{item}]"
+    for src, label, dst in a.transitions:
+        out += (start, names[src], sep, labels[label], sep, names[dst], end)
     _close(out, first, key, "]")
     out.append(f"\n{pad}}}")
+    return names
 
 
 def _tpo_state_row(fields: tuple, item: str, field: str) -> str:
@@ -547,13 +544,13 @@ def _write_tpo(out: list[str], t: Tpo) -> None:
 def _write_transformed(out: list[str], t: TransformedAutomaton, pad: str) -> None:
     key, item = pad + "  ", pad + "    "
     out.append(f'{{\n{key}"kind": "{KIND_TRANSFORMED}",\n{key}"automaton": ')
-    _write_automaton(out, t.automaton, key)
+    names = _write_automaton(out, t.automaton, key)
+    kinds = {kind: encode_basestring(kind) for kind in KINDS}
     out.append(f',\n{key}"origins": {{')
     first = len(out)
-    out += [
-        f",\n{item}{encode_basestring(name)}: {encode_basestring(origin)}"
-        for name, origin in t.origins.items()
-    ]
+    start = f",\n{item}"
+    for name, kind in t.origins.items():
+        out += (start, names[name], ": ", kinds[kind])
     _close(out, first, key, "}")
     out.append(f"\n{pad}}}")
 
@@ -599,6 +596,7 @@ def serialize_automaton(a: Automaton) -> str:
     return "".join(out)
 
 
+@pauses_collector
 def serialize_document(x: Automaton | Tpo | TransformedAutomaton | ModularEditStructure) -> str:
     """The bytes of ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``
     for the document ``doc`` of ``x``'s kind, written without building it."""

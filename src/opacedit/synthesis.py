@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .abstraction import AbstractionBundle, abstract_component
-from .automata import Automaton, InvalidAutomaton, restrict, synchronous_product
+from .automata import Automaton, InvalidAutomaton, pauses_collector, restrict, synchronous_product
 from .constraint import build_constraint_automaton
 from .runtime import RuntimeTables
 from .tpo import build_largest_tpo
@@ -176,6 +176,7 @@ def encode_components(
     return bundles, components
 
 
+@pauses_collector
 def synthesize_modular_edit_structure(
     systems: Sequence[Automaton],
     max_erasures: int,
@@ -186,7 +187,8 @@ def synthesize_modular_edit_structure(
 
     An empty supervisor (or an empty desired observer for some component)
     does not raise; it is reported through ``diagnostics`` so callers can
-    distinguish "no edit function exists" from bad input.
+    distinguish "no edit function exists" from bad input.  It builds acyclic
+    data, so the cyclic collector is paused while it runs.
     """
     bundles, components = encode_components(systems)
     diagnostics = [

@@ -69,46 +69,31 @@ def run_after(move: str, run: int) -> int:
     return 0 if effect == RESET else run + 1 if effect == ADD_ONE else run
 
 
-def state_name(
-    kind: str,
-    x_d: str,
-    x_f: str,
-    event: str | None = None,
-    action: str | None = None,
-    erased: bool = False,
-    count: int | None = None,
-) -> str:
-    """The name of the state with these fields, in the order ``Tpo`` holds
-    them."""
-    # The committed delivery (W, not erased) carries a "!" so its name
-    # cannot collide with the Z state holding the same pending event.
-    core = f"({x_d},{x_f})"
-    if kind == Z:
-        core = f"({core},{event})"
-    elif kind == W:
-        shown = erasure_symbol(action) if erased else f"{action}!"
-        core = f"({core},{shown})"
-    if count is not None:
-        core = f"{core}#{count}"
-    return core
-
-
 def render_names(states: Iterable[tuple]) -> list[str]:
     """The name of each state, given as the tuple of its fields, rendered
     once.  Two states that render alike (events named ``a`` and ``a!``, say)
     could not be told apart in a document or an encoding, so they are an
     error, not a silent merge."""
-    names: list[str] = []
-    rendered: set[str] = set()
-    for fields in states:
-        name = state_name(*fields)
-        if name in rendered:
-            raise InvalidAutomaton(
-                f"two TPO states are both named {name!r}: event names such as"
-                " 'a!' or 'a→ε' beside 'a' make game states read alike"
-            )
-        rendered.add(name)
-        names.append(name)
+    # The committed delivery (W, not erased) carries a "!" so its name
+    # cannot collide with the Z state holding the same pending event.
+    names = [
+        (
+            f"(({x_d},{x_f}),{event})"
+            if kind == Z
+            else f"(({x_d},{x_f}),{erasure_symbol(action) if erased else f'{action}!'})"
+            if kind == W
+            else f"({x_d},{x_f})"
+        )
+        + ("" if count is None else f"#{count}")
+        for kind, x_d, x_f, event, action, erased, count in states
+    ]
+    if len(set(names)) < len(names):
+        seen: set[str] = set()
+        name = next(name for name in names if name in seen or seen.add(name))
+        raise InvalidAutomaton(
+            f"two TPO states are both named {name!r}: event names such as"
+            " 'a!' or 'a→ε' beside 'a' make game states read alike"
+        )
     return names
 
 
@@ -145,10 +130,18 @@ def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
     det_f = obs.automaton
     if obs.initial is None or obsd.initial is None:
         return Tpo(name, det_f.events, [], [], None)
-    # Each observer's (x, event) -> x'; the first listed target wins.
+    # Each observer's (x, event) -> x'; the first listed target wins.  And per
+    # x, its observable moves in event order: a Y state's arrivals, a Z's inserts.
     d_next = {(src, label): dst for src, label, dst in reversed(obsd.automaton.transitions)}
     f_next = {(src, label): dst for src, label, dst in reversed(det_f.transitions)}
-    observable = sorted(ev.name for ev in det_f.events if ev.observable)
+    observable = {ev.name for ev in det_f.events if ev.observable}
+    d_moves, f_events = {}, {}
+    for (src, label), dst in sorted(d_next.items(), key=lambda move: move[0][1]):
+        if label in observable:
+            d_moves.setdefault(src, []).append((label, dst))
+    for src, label in sorted(f_next, key=lambda move: move[1]):
+        if label in observable:
+            f_events.setdefault(src, []).append(label)
     # A state is found by its fields; ``states`` doubles as the queue.
     index: dict[tuple, int] = {}
     states: list[tuple] = []
@@ -164,14 +157,11 @@ def build_largest_tpo(obsd: Observer, obs: Observer, name: str = "tpo") -> Tpo:
     admit((Y, obsd.initial, obs.initial, None, None, False, None))
     for here, (kind, x_d, x_f, pending, action, erased, _) in enumerate(states):
         if kind == Y:
-            for event in observable:
-                if (x_f, event) in f_next:
-                    transitions.append((here, SYSTEM, event, admit((Z, x_d, x_f, event, None, False, None))))
+            for event in f_events.get(x_f, ()):
+                transitions.append((here, SYSTEM, event, admit((Z, x_d, x_f, event, None, False, None))))
         elif kind == Z:
-            for theta in observable:
-                nxt_d = d_next.get((x_d, theta))
-                if nxt_d is not None:
-                    transitions.append((here, INSERT, theta, admit((Z, nxt_d, x_f, pending, None, False, None))))
+            for theta, nxt_d in d_moves.get(x_d, ()):
+                transitions.append((here, INSERT, theta, admit((Z, nxt_d, x_f, pending, None, False, None))))
             if (x_f, pending) in f_next:
                 if (x_d, pending) in d_next:
                     transitions.append((here, STOP, EPSILON, admit((W, x_d, x_f, None, pending, False, None))))

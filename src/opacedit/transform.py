@@ -199,8 +199,10 @@ def transform_modular(
     results = []
     for i, t in enumerate(ts):
         rendered = render_names(t.states)
+        kinds = [fields[0] for fields in t.states]
         # The pending event of each state; only a Z state has one.
-        pending = [fields[3] if fields[0] == Z else None for fields in t.states]
+        pending = [fields[3] if kind == Z else None for kind, fields in zip(kinds, t.states)]
+        states = tuple(State(name, k == t.initial, kind == Y) for k, (name, kind) in enumerate(zip(rendered, kinds)))
         contexts = sorted(set(pending) - {None})
         alphabet = sorted(ev.name for ev in t.events if ev.observable)
         possible = [DecoratedEvent(kind=SYSTEM, base=base) for base in alphabet]
@@ -220,18 +222,13 @@ def transform_modular(
                 labels[key] = decorated = dec.name
                 decorations[decorated] = dec
             transitions.append((rendered[src], decorated, rendered[dst]))
-        states = tuple(
-            State(name, pos == t.initial, fields[0] == Y)
-            for pos, (fields, name) in enumerate(zip(t.states, rendered))
-        )
 
         local = sigma[i]
         foreign = set().union(*(table - local for j, table in enumerate(sigma) if j != i))
+        at_y = [name for name, kind in zip(rendered, kinds) if kind == Y]
         for alpha in sorted(foreign):
             decorations[alpha] = DecoratedEvent(kind=SYSTEM, base=alpha)
-            for st in states:
-                if st.marked:
-                    transitions.append((st.name, alpha, st.name))
+            transitions += [(name, alpha, name) for name in at_y]
         for j, table in enumerate(sigma):
             if j == i:
                 continue
@@ -250,6 +247,6 @@ def transform_modular(
         )
         if not automaton.is_deterministic:
             raise InvalidAutomaton("transformed TPO is not deterministic")
-        origins = {name: fields[0] for fields, name in zip(t.states, rendered)}
+        origins = dict(zip(rendered, kinds))
         results.append(TransformedAutomaton(automaton=automaton, origins=origins, decorations=decorations))
     return tuple(results)

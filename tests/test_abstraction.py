@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from languages import language_upto
 
 from opacedit import (
     Automaton,
@@ -12,7 +13,6 @@ from opacedit import (
     abstract_component,
     bisimulation_partition,
     determinize,
-    language_upto,
     opaque_bisimulation_partition,
     opaque_observation_equivalence_partition,
     quotient,

@@ -12,6 +12,8 @@ from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 
+from languages import language_upto
+
 from opacedit import (
     Automaton,
     RandomSpec,
@@ -31,7 +33,6 @@ from opacedit import (
     demo_pair,
     desired_observer,
     determinize,
-    language_upto,
     opaque_observation_equivalence_partition,
     open_session,
     parse_automaton,

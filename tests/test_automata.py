@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from languages import language_upto
 
 from opacedit import (
     Automaton,
@@ -17,7 +18,6 @@ from opacedit import (
     compose_all,
     determinize,
     deterministic_isomorphic,
-    language_upto,
     quotient,
     random_system,
 )

@@ -2,10 +2,11 @@
 
 from types import SimpleNamespace
 
+from languages import language_upto
+
 from opacedit import (
     build_constraint_automaton,
     constraint_alphabet,
-    language_upto,
     parse_decorated,
 )
 

@@ -13,6 +13,7 @@ import dataclasses
 from collections import deque
 
 import pytest
+from languages import language_upto
 
 import opacedit.oracle as oracle
 from opacedit import (
@@ -29,7 +30,6 @@ from opacedit import (
     demo_pair,
     desired_observer,
     determinize,
-    language_upto,
     largest_tpo,
     prune_to_aes,
     random_pair,

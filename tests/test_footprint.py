@@ -1,7 +1,8 @@
 """What a structure holds in memory: one object per name once loaded, no
 successor tables left on the parts of the product, the plant or the
 supervisor, and a loaded structure no larger than the one synthesis returns.
-Parsing pauses the cyclic collector and leaves it as the caller had it."""
+Synthesis, writing and parsing pause the cyclic collector and leave it as
+the caller had it."""
 
 import gc
 import tracemalloc
@@ -10,8 +11,12 @@ import pytest
 
 from opacedit import (
     TAU,
+    Automaton,
     DocumentError,
+    Event,
+    InvalidAutomaton,
     RandomSpec,
+    State,
     demo_pair,
     parse_document,
     random_pair,
@@ -73,13 +78,34 @@ def test_a_loaded_structure_is_no_larger_than_a_synthesized_one():
     assert loaded <= 1.1 * synthesized, (loaded, synthesized)
 
 
+def _reserved():
+    """A component whose event name is reserved for decorations."""
+    return Automaton(
+        name="G",
+        events=(Event("a@b"),),
+        states=(State("s0", initial=True), State("s1", secret=True)),
+        transitions=(("s0", "a@b", "s1"),),
+    )
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_parsing_leaves_the_collector_as_it_was(enabled):
-    text = serialize_document(synthesize_modular_edit_structure(list(demo_pair()), max_erasures=1))
+    """So do synthesis and the writer, which pause it too, on success and
+    on error."""
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
+        m = synthesize_modular_edit_structure(list(demo_pair()), max_erasures=1)
+        assert gc.isenabled() is enabled
+        text = serialize_document(m)
+        assert gc.isenabled() is enabled
         parse_document(text)
+        assert gc.isenabled() is enabled
+        with pytest.raises(InvalidAutomaton, match="reserved"):
+            synthesize_modular_edit_structure([_reserved()], max_erasures=1)
+        assert gc.isenabled() is enabled
+        with pytest.raises(TypeError):
+            serialize_document(m.tuple_map)
         assert gc.isenabled() is enabled
         with pytest.raises(DocumentError):
             parse_document(text.replace('"kind": "', '"kind": "bogus-', 1))

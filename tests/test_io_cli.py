@@ -34,7 +34,7 @@ from opacedit import (
     transform_monolithic,
 )
 from opacedit.cli import main
-from opacedit.tpo import state_name
+from opacedit.tpo import render_names
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 G1 = str(DATA / "demo_g1.json")
@@ -560,7 +560,7 @@ def test_largest_tpo_does_not_merge_states_that_render_alike(second):
 )
 def test_cli_rejects_event_names_that_make_game_states_collide(tmp_path, second, command):
     g = _game_collision_component(second)
-    names = [state_name(*fields) for fields in largest_tpo(g).states]
+    names = [render_names([fields])[0] for fields in largest_tpo(g).states]
     shared = {name for name in names if names.count(name) > 1}
     path = tmp_path / "collide.json"
     path.write_text(serialize_automaton(g), encoding="utf-8")
@@ -755,15 +755,15 @@ def test_cli_export_dot_rejects_invalid_tpo_document(tmp_path, edit):
 
 def test_tpo_document_cites_states_by_rendered_name(mono_tpo):
     doc = json.loads(serialize_document(mono_tpo))
-    assert doc["initial"] == state_name(*mono_tpo.states[mono_tpo.initial])
-    assert doc["transitions"][0][0] == state_name(*mono_tpo.states[mono_tpo.transitions[0][0]])
+    names = render_names(mono_tpo.states)
+    assert doc["initial"] == names[mono_tpo.initial]
+    assert doc["transitions"][0][0] == names[mono_tpo.transitions[0][0]]
     assert parse_document(json.dumps(doc)).initial == mono_tpo.initial
 
 
 def _rendered(st):
-    return state_name(
-        st["kind"], st["x_d"], st["x_f"], st.get("event"), st.get("action"), st.get("erased", False), st.get("count")
-    )
+    optional = (st.get("event"), st.get("action"), st.get("erased", False), st.get("count"))
+    return render_names([(st["kind"], st["x_d"], st["x_f"], *optional)])[0]
 
 
 def _erase_into_count_0(doc):

@@ -1,13 +1,13 @@
 """Stepping the synthesized structure: sessions, policies, overrides."""
 
 import pytest
+from languages import language_upto
 
 from opacedit import (
     StepError,
     demo_composed,
     desired_observer,
     determinize,
-    language_upto,
     open_session,
     session_trace,
     step,

@@ -28,7 +28,7 @@ from opacedit.cli import main
 from opacedit.documents import parse_document, serialize_automaton, serialize_document
 from opacedit.oracle import RandomSpec, random_pair, random_system
 from opacedit.synthesis import encode_components
-from opacedit import tpo as tpo_module
+from opacedit import transform as transform_module
 from opacedit.tpo import Y, Z, render_names
 from opacedit.transform import (
     DELIVER,
@@ -306,7 +306,7 @@ def _awkward(systems):
             Automaton(
                 name=g.name,
                 events=tuple(replace(ev, name=rename[ev.name]) for ev in g.events),
-                states=tuple(replace(st, name=table[st.name]) for st in g.states),
+                states=tuple(st._replace(name=table[st.name]) for st in g.states),
                 transitions=tuple(
                     (table[src], rename.get(label, label), table[dst]) for src, label, dst in g.transitions
                 ),
@@ -342,14 +342,14 @@ def test_monolithic_is_the_one_component_case(seed):
 
 
 def test_encoding_renders_each_tpo_state_name_once(monkeypatch, ring):
-    render = tpo_module.state_name
+    render = transform_module.render_names
     calls = []
 
-    def counted(*fields):
-        calls.append(fields)
-        return render(*fields)
+    def counted(states):
+        calls.extend(states)
+        return render(states)
 
-    monkeypatch.setattr(tpo_module, "state_name", counted)
+    monkeypatch.setattr(transform_module, "render_names", counted)
     for systems in (list(demo_pair()), ring(0)):
         calls.clear()
         _, components = encode_components(systems)
