@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import product
-from operator import attrgetter, contains, itemgetter
+from operator import contains
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 TAU = "tau"
@@ -97,14 +97,6 @@ class Automaton:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self) -> None:
-        """Names are nonempty, distinct and not ``tau``, flags are bools and
-        transitions join states by ``tau`` or declared events.  What
-        ``_accepted`` does not accept, or raises on, goes through the loops."""
-        try:
-            if self._accepted():
-                return
-        except Exception:
-            pass
         seen_events: set[str] = set()
         for ev in self.events:
             if ev.name == TAU:
@@ -132,28 +124,6 @@ class Automaton:
                 raise InvalidAutomaton(f"{self.name!r}: transitions[{i}] has unknown target {dst!r}")
             if label != TAU and label not in seen_events:
                 raise InvalidAutomaton(f"{self.name!r}: transitions[{i}] has undeclared event {label!r}")
-
-    def _accepted(self) -> bool:
-        """True only where the loops of ``__post_init__`` accept, decided in
-        whole-column passes over tuples (the loops read any other iterable
-        once): states by position once each is a ``State``, transitions once
-        each has three items."""
-        events, states, transitions = self.events, self.states, self.transitions
-        if {type(events), type(states), type(transitions)} != {tuple} or not {State} >= set(map(type, states)):
-            return False
-        labels = list(map(attrgetter("name"), events))
-        names, *flags = list(zip(*states)) or [()] * 4
-        flags += [map(attrgetter("observable"), events), map(attrgetter("controllable"), events)]
-        declared, known = set(labels), set(names)
-        return (
-            {3} >= set(map(len, transitions))
-            and all(labels) and TAU not in labels and len(declared) == len(labels)
-            and all(names) and len(known) == len(names)
-            and all({bool} >= set(map(type, column)) for column in flags)
-            and known.issuperset(map(itemgetter(0), transitions))
-            and known.issuperset(map(itemgetter(2), transitions))
-            and (declared | {TAU}).issuperset(map(itemgetter(1), transitions))
-        )
 
     @cached_property
     def event_map(self) -> Mapping[str, Event]:

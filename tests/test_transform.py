@@ -28,6 +28,9 @@ from opacedit.cli import main
 from opacedit.documents import parse_document, serialize_automaton, serialize_document
 from opacedit.oracle import RandomSpec, random_pair, random_system
 from opacedit.synthesis import encode_components
+from opacedit import dot as dot_module
+from opacedit import documents as documents_module
+from opacedit import tpo as tpo_module
 from opacedit import transform as transform_module
 from opacedit.tpo import Y, Z, render_names
 from opacedit.transform import (
@@ -342,14 +345,17 @@ def test_monolithic_is_the_one_component_case(seed):
 
 
 def test_encoding_renders_each_tpo_state_name_once(monkeypatch, ring):
-    render = transform_module.render_names
+    render = tpo_module.render_names
     calls = []
 
     def counted(states):
+        states = list(states)
         calls.extend(states)
         return render(states)
 
-    monkeypatch.setattr(transform_module, "render_names", counted)
+    # every module that renders names shares the counter
+    for module in (tpo_module, transform_module, documents_module, dot_module):
+        monkeypatch.setattr(module, "render_names", counted)
     for systems in (list(demo_pair()), ring(0)):
         calls.clear()
         _, components = encode_components(systems)
